@@ -1,8 +1,10 @@
 """The deterministic game graph every check runs on: estimates tracked
-through attack rounds, with states classified by whose move is pending."""
+through attack rounds, with states classified by whose move is pending, and
+the attractor that solves reachability games on it."""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
@@ -15,7 +17,7 @@ from .attackmodel import (
     bounded_game_structure,
     system_attack_model,
 )
-from .automata import Nfa, StateEstimate, compose, observer
+from .automata import Nfa, StateEstimate, compose, enabled_index, observer
 
 _EMPTY: frozenset = frozenset()
 
@@ -63,13 +65,11 @@ class AttackObserver:
         self.events = frozenset(events)
         self.transitions = dict(transitions)
         self.initial = initial
-        enabled: dict = {}
         preds: dict = {}
         for (src, label), dst in self.transitions.items():
-            enabled.setdefault(src, set()).add(label)
             preds.setdefault(dst, []).append((src, label))
-        self._enabled = {src: frozenset(labels) for src, labels in enabled.items()}
-        self._preds = {dst: tuple(sorted(entries)) for dst, entries in preds.items()}
+        self._enabled = enabled_index(self.transitions)
+        self._preds = {dst: tuple(entries) for dst, entries in preds.items()}
 
     def enabled(self, state: AObsState) -> frozenset:
         return self._enabled.get(state, _EMPTY)
@@ -87,9 +87,6 @@ class AttackObserver:
 
     def predecessors(self, state: AObsState) -> tuple:
         return self._preds.get(state, ())
-
-    def states_of_type(self, kind: StateType) -> tuple:
-        return tuple(s for s in sorted(self.states) if classify(s) is kind)
 
     def __repr__(self) -> str:
         return f"AttackObserver(states={len(self.states)}, transitions={len(self.transitions)})"
@@ -116,6 +113,32 @@ def build_attack_observer(g: Nfa, attack: AttackSpec) -> AttackObserver:
     return AttackObserver(
         g, attack, states, composed.events, transitions, flatten(composed.initial)
     )
+
+
+def attractor(aobs: AttackObserver, targets: Iterable[AObsState], need: Mapping) -> dict:
+    """Least set of states from which play can be forced into ``targets``,
+    as ``{state: rank}``.
+
+    Targets have rank 0. A state with a count in ``need`` joins once that
+    many of its outgoing transitions lead inside, one rank above the last of
+    them; a state without a count joins only as a target. A count of 1 is a
+    move of the forcing player, a count of all outgoing transitions one of
+    its opponent. Linear in the size of the graph.
+    """
+    ranks = dict.fromkeys(targets, 0)
+    missing = dict(need)
+    queue = deque(ranks)
+    while queue:
+        state = queue.popleft()
+        rank = ranks[state] + 1
+        for pred, _label in aobs.predecessors(state):
+            if pred in ranks or pred not in missing:
+                continue
+            missing[pred] -= 1
+            if missing[pred] == 0:
+                ranks[pred] = rank
+                queue.append(pred)
+    return ranks
 
 
 def enabled_in_aobs(aobs: AttackObserver, state: AObsState) -> frozenset:

@@ -27,6 +27,14 @@ def _natural_key(value) -> tuple:
     return key + ((1, 0, text),)
 
 
+def enabled_index(pairs: Iterable[tuple]) -> dict:
+    """``{source: frozenset(labels)}`` from (source, label) pairs."""
+    enabled: dict = {}
+    for src, label in pairs:
+        enabled.setdefault(src, set()).add(label)
+    return {src: frozenset(labels) for src, labels in enabled.items()}
+
+
 @dataclass(frozen=True, order=True)
 class StateEstimate:
     """Nonempty set of plant states kept in a canonical order, so equal sets
@@ -87,10 +95,7 @@ class Nfa:
                 raise ValueError(f"transition label {label!r} is not a declared event")
             succ.setdefault((src, label), set()).add(dst)
         self._succ = {key: frozenset(value) for key, value in succ.items()}
-        enabled: dict = {}
-        for src, label in self._succ:
-            enabled.setdefault(src, set()).add(label)
-        self._enabled = {src: frozenset(labels) for src, labels in enabled.items()}
+        self._enabled = enabled_index(self._succ)
 
     def successors(self, state: State, label: Label) -> frozenset:
         return self._succ.get((state, label), _EMPTY)
@@ -128,14 +133,12 @@ class Dfa:
         self.initial = initial
         if self.initial not in self.states:
             raise ValueError("the initial state must be a declared state")
-        enabled: dict = {}
         for (src, label), dst in self.transitions.items():
             if src not in self.states or dst not in self.states:
                 raise ValueError(f"transition endpoint {src!r} or {dst!r} is not a declared state")
             if label not in self.events:
                 raise ValueError(f"transition label {label!r} is not a declared event")
-            enabled.setdefault(src, set()).add(label)
-        self._enabled = {src: frozenset(labels) for src, labels in enabled.items()}
+        self._enabled = enabled_index(self.transitions)
 
     def step(self, state: State, label: Label):
         return self.transitions.get((state, label))

@@ -108,31 +108,23 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _names(flag: str | None) -> list:
+    """The names in a comma-separated flag value."""
+    return [name.strip() for name in (flag or "").split(",") if name.strip()]
+
+
 def _load_inputs(args, needs_spec: bool):
     model = parse_model(_read(args.model))
     if not needs_spec:
         return model, None
     if getattr(args, "spec", None):
-        attack = parse_spec(_read(args.spec), model)
-    else:
-        if args.budget is None:
-            raise InputError("either --spec or --attacked/--budget is required")
-        attacked = [s.strip() for s in (args.attacked or "").split(",") if s.strip()]
-        unknown = [s for s in attacked if s not in model.states]
-        if unknown:
-            raise InputError(f"unknown identifier: attacked states {unknown!r}")
-        if args.budget < 0:
-            raise InputError(f"negative budget: {args.budget}")
-        secret = None
-        if args.mode == "opacity":
-            secret = frozenset(s.strip() for s in (args.secret or "").split(",") if s.strip())
-            unknown = [s for s in secret if s not in model.states]
-            if unknown:
-                raise InputError(f"unknown identifier: secret states {unknown!r}")
-            if secret == model.states:
-                raise InputError("invalid secret set: it must not cover every plant state")
-        attack = AttackSpec(frozenset(attacked), args.budget, secret)
-    return model, attack
+        return model, parse_spec(_read(args.spec), model)
+    if args.budget is None:
+        raise InputError("either --spec or --attacked/--budget is required")
+    document = {"attacked_states": _names(args.attacked), "budget": args.budget}
+    if args.mode == "opacity":
+        document["mode"] = {"opacity": {"secret_states": _names(args.secret)}}
+    return model, parse_spec(json.dumps(document), model)
 
 
 def _rank_value(value):

@@ -1,10 +1,10 @@
 """Deciding whether the intruder can force a violation no matter what the
-system does: per-type vulnerability predicates, the iterative pruning that
+system does: per-type vulnerability predicates, the holdable region that
 yields the final verifier, and the enforcement verdict."""
 
 from __future__ import annotations
 
-from .aobs import AObsState, AttackObserver, StateType
+from .aobs import AObsState, AttackObserver, StateType, attractor, classify
 from .attackmodel import ATTACK_NO, ATTACK_YES, AttackSpec, RESULT_LABELS
 from .automata import Nfa
 from .violation import SubAutomaton, check_violation
@@ -58,28 +58,25 @@ def is_vulnerable_type3(v: SubAutomaton, state: AObsState, strict_paper: bool = 
 
 
 def final_verifier(v: SubAutomaton, aobs: AttackObserver, strict_paper: bool = False) -> SubAutomaton:
-    """Iteratively prune the verifier down to the states the intruder can
-    hold: remove non-surviving system-move states, then result-wait states,
-    then decision states, re-taking the accessible part after each removal,
-    until every kept system-move state survives."""
-    current = v
-    while True:
-        bad = [s for s in current.states_of_type(StateType.TYPE_I) if not is_vulnerable_type1(current, s)]
-        if not bad:
-            return current
-        current = current.drop(bad)
-        bad = [
-            s
-            for s in current.states_of_type(StateType.TYPE_II)
-            if not is_vulnerable_type2(current, aobs, s, strict_paper)
-        ]
-        current = current.drop(bad)
-        bad = [
-            s
-            for s in current.states_of_type(StateType.TYPE_III)
-            if not is_vulnerable_type3(current, s, strict_paper)
-        ]
-        current = current.drop(bad)
+    """Prune the verifier down to the states the intruder can hold: those
+    outside the system's attractor to the states the verifier left out.
+
+    The system expels the intruder from a system-move state by any event and
+    from a result-wait state by any result, or never with ``strict_paper``;
+    a decision state expels the intruder when all of its decisions do.
+    """
+    need: dict = {}
+    for state in v.states:
+        kind = classify(state)
+        if kind is StateType.TYPE_III:
+            need[state] = len(aobs.enabled(state))
+        elif kind is StateType.TYPE_I or not strict_paper:
+            need[state] = 1
+    expelled = attractor(aobs, aobs.states - v.states, need)
+    held = v.states.difference(expelled)
+    if len(held) == len(v.states):
+        return v
+    return SubAutomaton.restrict(aobs, held)
 
 
 def check_enforced(

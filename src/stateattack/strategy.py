@@ -10,10 +10,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .aobs import AObsState, AttackObserver, StateType, classify
+from .aobs import AObsState, AttackObserver, StateType, attractor, classify
 from .attackmodel import ATTACK_NO, ATTACK_YES, EPSILON, AttackSpec, RESULT_LABELS
 from .automata import Nfa, StateEstimate
-from .violation import SubAutomaton, violation_predicate
+from .violation import SubAutomaton, is_violating, violation_predicate
 
 RANKED = "ranked"
 FIRST_VALID = "first-valid"
@@ -31,34 +31,12 @@ def compute_ranks(fv: SubAutomaton, attack: AttackSpec) -> dict:
     violating estimate: violating system-move states are at 0, decision
     states take the best decision, everything else the worst successor.
     States from which a violation cannot be forced get an infinite rank."""
-    reverse: dict = {}
-    outdegree: dict = {}
-    for (src, label), dst in fv.transitions.items():
-        reverse.setdefault(dst, []).append((src, label))
-        outdegree[src] = outdegree.get(src, 0) + 1
-
-    ranks: dict = {}
-    queue: deque = deque()
-    for state in sorted(fv.states):
-        if classify(state) is StateType.TYPE_I and violation_predicate(state.estimate, attack):
-            ranks[state] = 0
-            queue.append(state)
-    remaining = dict(outdegree)
-    while queue:
-        state = queue.popleft()
-        value = ranks[state]
-        for pred, _label in sorted(reverse.get(state, ())):
-            if pred in ranks:
-                continue
-            if classify(pred) is StateType.TYPE_III:
-                ranks[pred] = value + 1
-                queue.append(pred)
-            else:
-                # Worst-case nodes resolve once their last successor has.
-                remaining[pred] -= 1
-                if remaining[pred] == 0:
-                    ranks[pred] = value + 1
-                    queue.append(pred)
+    targets = [s for s in fv.states if is_violating(s, attack)]
+    need = {
+        s: 1 if classify(s) is StateType.TYPE_III else len(fv.enabled(s))
+        for s in fv.states
+    }
+    ranks = attractor(fv.parent, targets, need)
     return {state: ranks.get(state, INFINITE_RANK) for state in fv.states}
 
 
@@ -201,57 +179,54 @@ def validate_strategy(
     if not strategy.states or not strategy.edges:
         raise ValueError("cannot validate an empty strategy")
 
-    memo: dict = {}
-    on_path: set = set()
-
-    def explore(state: AObsState, prefix: list):
-        """Max rounds to violation from a system-move state, or a failing
-        StrategyReport."""
-        if violation_predicate(state.estimate, attack):
-            return 0
-        if state in memo:
-            return memo[state]
-        if state in on_path:
-            return StrategyReport(False, None, tuple(prefix), "non-terminating play")
-        on_path.add(state)
-        worst = 0
-        outcome = None
+    def moves(state: AObsState):
+        """(step, target) pairs below a system-move state in exploration
+        order; a step without a target is an enabled event without an edge."""
         for event in sorted(aobs.enabled(state)):
             outputs = strategy.outputs(state, event)
             if not outputs:
-                outcome = StrategyReport(
-                    False, None, tuple(prefix + [(event, None, None)]), "no edge for enabled event"
-                )
-                break
+                yield (event, None, None), None
+                return
             for output, target in outputs:
-                decision = output[0]
-                result = output[1:] or None
-                step = (event, decision, result)
-                below = explore(target, prefix + [step])
-                if isinstance(below, StrategyReport):
-                    outcome = below
-                    break
-                worst = max(worst, 1 + below)
-            if outcome is not None:
-                break
-        on_path.discard(state)
-        if outcome is not None:
-            return outcome
-        memo[state] = worst
-        return worst
+                yield (event, output[0], output[1:] or None), target
 
     first = strategy.outputs(strategy.initial, EPSILON)
     if not first:
         return StrategyReport(False, None, (), "no initial decision")
-    total = 0
-    for output, target in first:
-        decision = output[0]
-        result = output[1:] or None
-        below = explore(target, [(EPSILON, decision, result)])
-        if isinstance(below, StrategyReport):
-            return below
-        total = max(total, 1 + below)
-    return StrategyReport(True, total, None, None)
+    # Depth-first over an explicit stack of [state, pending moves, worst rounds
+    # below]; the bottom frame stands for the initial decision. ``prefix``
+    # holds the steps from the initial decision to the move being tried.
+    root = (((EPSILON, output[0], output[1:] or None), target) for output, target in first)
+    stack: list = [[None, root, 0]]
+    prefix: list = []
+    memo: dict = {}  # state -> max rounds to violation
+    on_path: set = set()
+    while True:
+        frame = stack[-1]
+        step, target = next(frame[1], (None, None))
+        if step is None:
+            state, _, worst = stack.pop()
+            if state is None:
+                return StrategyReport(True, worst, None, None)
+            on_path.discard(state)
+            memo[state] = below = worst
+            frame = stack[-1]
+        else:
+            prefix.append(step)
+            if target is None:
+                return StrategyReport(False, None, tuple(prefix), "no edge for enabled event")
+            if violation_predicate(target.estimate, attack):
+                below = 0
+            elif target in memo:
+                below = memo[target]
+            elif target in on_path:
+                return StrategyReport(False, None, tuple(prefix), "non-terminating play")
+            else:
+                on_path.add(target)
+                stack.append([target, moves(target), 0])
+                continue
+        prefix.pop()
+        frame[2] = max(frame[2], 1 + below)
 
 
 @dataclass(frozen=True)

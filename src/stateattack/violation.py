@@ -7,9 +7,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from .aobs import AObsState, AttackObserver, StateType, build_attack_observer, classify
-from .attackmodel import AttackSpec, RESULT_LABELS
-from .automata import Nfa, StateEstimate
+from .aobs import AObsState, AttackObserver, StateType, attractor, build_attack_observer, classify
+from .attackmodel import AttackSpec
+from .automata import Nfa, StateEstimate, enabled_index
 
 _EMPTY: frozenset = frozenset()
 
@@ -25,6 +25,11 @@ def violation_predicate(estimate: StateEstimate, attack: AttackSpec) -> bool:
     return estimate.issubset(attack.secret)
 
 
+def is_violating(state: AObsState, attack: AttackSpec) -> bool:
+    """A system-move state whose estimate satisfies the violating predicate."""
+    return classify(state) is StateType.TYPE_I and violation_predicate(state.estimate, attack)
+
+
 class SubAutomaton:
     """A restriction of an attack observer to a subset of its states, with the
     parent kept around for enabledness queries on the full graph.
@@ -38,10 +43,7 @@ class SubAutomaton:
         self.kept = kept
         self.initial = initial
         self.transitions = transitions
-        enabled: dict = {}
-        for (src, label) in transitions:
-            enabled.setdefault(src, set()).add(label)
-        self._enabled = {src: frozenset(labels) for src, labels in enabled.items()}
+        self._enabled = enabled_index(transitions)
 
     @classmethod
     def restrict(cls, parent: AttackObserver, keep: Iterable[AObsState]) -> "SubAutomaton":
@@ -84,53 +86,21 @@ class SubAutomaton:
     def enabled_in_parent(self, state: AObsState) -> frozenset:
         return self.parent.enabled(state)
 
-    def states_of_type(self, kind: StateType) -> tuple:
-        return tuple(s for s in sorted(self.kept) if classify(s) is kind)
-
-    def drop(self, removed: Iterable[AObsState]) -> "SubAutomaton":
-        """Remove states and re-take the accessible part."""
-        removed = frozenset(removed)
-        if not removed:
-            return self
-        return SubAutomaton.restrict(self.parent, self.kept - removed)
-
     def __repr__(self) -> str:
         return f"SubAutomaton(states={len(self.kept)}, transitions={len(self.transitions)})"
 
 
 def intermediate_violating_fixpoint(aobs: AttackObserver, attack: AttackSpec) -> frozenset:
     """Least set of attack-observer states from which the intruder can still
-    steer the play to a violating estimate.
-
-    Seeded with the violating system-move states; a result-wait state joins
-    once every defined result stays inside, a decision state once some
-    decision leads inside, and a system-move state once some event leads
-    inside. Computed as a worklist over the reverse adjacency.
-    """
-    closure: set = set()
-    queue: deque = deque()
-    for state in aobs.states:
-        if classify(state) is StateType.TYPE_I and violation_predicate(state.estimate, attack):
-            closure.add(state)
-            queue.append(state)
-    # Result-wait states need every defined result inside; track what's missing.
-    pending = {
-        state: sum(1 for r in RESULT_LABELS if aobs.step(state, r) is not None)
-        for state in aobs.states
-        if classify(state) is StateType.TYPE_II
+    steer the play to a violating estimate: the attractor of the violating
+    system-move states, where a result-wait state needs every defined result
+    inside and any other state one transition."""
+    targets = [s for s in aobs.states if is_violating(s, attack)]
+    need = {
+        s: len(aobs.enabled(s)) if classify(s) is StateType.TYPE_II else 1
+        for s in aobs.states
     }
-    while queue:
-        state = queue.popleft()
-        for pred, _label in aobs.predecessors(state):
-            if pred in closure:
-                continue
-            if classify(pred) is StateType.TYPE_II:
-                pending[pred] -= 1
-                if pending[pred] > 0:
-                    continue
-            closure.add(pred)
-            queue.append(pred)
-    return frozenset(closure)
+    return frozenset(attractor(aobs, targets, need))
 
 
 def build_verifier(aobs: AttackObserver, violating_reachable: Iterable[AObsState]) -> SubAutomaton:
@@ -147,7 +117,7 @@ def witness_labels(verifier: SubAutomaton, attack: AttackSpec) -> list | None:
     frontier: deque = deque([(verifier.initial, [])])
     while frontier:
         state, path = frontier.popleft()
-        if classify(state) is StateType.TYPE_I and violation_predicate(state.estimate, attack):
+        if is_violating(state, attack):
             return path
         for label in sorted(verifier.enabled(state)):
             target = verifier.step(state, label)

@@ -183,6 +183,16 @@ def test_input_errors_exit_2(capsys, tmp_path, model_path):
     assert run(capsys, "observer", "--model", str(tmp_path / "missing.json"))[0] == 2
 
 
+def test_secret_flag_covering_every_state_exits_2(capsys, model_path):
+    every_state = ",".join(str(i) for i in range(1, 11))
+    code = main([
+        "check-enforced", "--model", model_path, "--attacked", "2", "--budget", "1",
+        "--mode", "opacity", "--secret", every_state,
+    ])
+    assert code == 2
+    assert "invalid secret set" in capsys.readouterr().err
+
+
 def test_reports_are_deterministic(capsys, model_path, spec_path):
     _, first = run(capsys, "check-violation", "--model", model_path, "--spec", spec_path)
     _, second = run(capsys, "check-violation", "--model", model_path, "--spec", spec_path)

@@ -22,8 +22,9 @@ from stateattack import (
     synthesize_strategy,
     validate_strategy,
 )
+from stateattack.aobs import StateType, classify
 from stateattack.attackmodel import EPSILON
-from stateattack.violation import SubAutomaton
+from stateattack.violation import SubAutomaton, violation_predicate
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +68,40 @@ def test_ranks_infinite_on_cycle_without_exit(plant, attack_24, aobs_24):
     assert sub.states == frozenset(loop)
     ranks = compute_ranks(sub, attack_24)
     assert all(math.isinf(value) for value in ranks.values())
+
+
+def value_iteration_ranks(fv, attack) -> dict:
+    """Reference ranks by plain value iteration over the kept transitions:
+    0 at violating system-move states, 1 + min at decision states, 1 + max
+    elsewhere, and infinite where no value is ever resolved."""
+    def violating(state):
+        return classify(state) is StateType.TYPE_I and violation_predicate(state.estimate, attack)
+
+    ranks = {state: 0 if violating(state) else math.inf for state in fv.states}
+    changed = True
+    while changed:
+        changed = False
+        for state in fv.states:
+            successors = [ranks[fv.step(state, label)] for label in fv.enabled(state)]
+            if violating(state) or not successors:
+                continue
+            best = min if classify(state) is StateType.TYPE_III else max
+            value = 1 + best(successors)
+            if value < ranks[state]:
+                ranks[state] = value
+                changed = True
+    return ranks
+
+
+def test_ranks_match_value_iteration(fv_2489, attack_2489, instances):
+    cases = [(fv_2489, attack_2489)]
+    for plant, attack in instances[:80]:
+        enforced, fv = check_enforced(plant, attack)
+        if enforced:
+            cases.append((fv, attack))
+    assert len(cases) > 20
+    for fv, attack in cases:
+        assert compute_ranks(fv, attack) == value_iteration_ranks(fv, attack)
 
 
 # --- synthesis ---------------------------------------------------------------
@@ -171,6 +206,24 @@ def test_ranked_strategy_is_sound(ranked_2489, aobs_2489, attack_2489):
     assert report.sound
     assert report.counterexample is None
     assert report.max_rounds == 3
+
+
+def test_validation_of_deep_play_tree():
+    # Two 1,200-state chains told apart only at their ends: every play is
+    # 1,201 rounds deep, far beyond Python's recursion limit.
+    length = 1200
+    xs = [f"x{i}" for i in range(length)]
+    ys = [f"y{i}" for i in range(length)]
+    transitions = [(chain[i], "a", chain[i + 1]) for chain in (xs, ys) for i in range(length - 1)]
+    transitions += [(xs[-1], "b", xs[-1]), (ys[-1], "c", ys[-1])]
+    g = Nfa(xs + ys, ["a", "b", "c"], transitions, [xs[0], ys[0]])
+    attack = AttackSpec(frozenset(), 0)
+    enforced, fv = check_enforced(g, attack)
+    assert enforced
+    strategy = synthesize_strategy(fv, fv.parent)
+    report = validate_strategy(strategy, fv.parent, attack)
+    assert report.sound
+    assert report.max_rounds == 1201
 
 
 def test_first_valid_strategy_loops_forever(fv_2489, aobs_2489, attack_2489):
