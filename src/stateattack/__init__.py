@@ -76,7 +76,6 @@ from .strategy import (
     validate_strategy,
 )
 from .violation import (
-    SubAutomaton,
     build_verifier,
     check_violation,
     intermediate_violating_fixpoint,

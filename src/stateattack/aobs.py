@@ -47,8 +47,10 @@ def classify(state: AObsState) -> StateType:
 
 
 class AttackObserver:
-    """Deterministic graph of (phase, counter, estimate) triples, with a
-    reverse-adjacency index for the backward computations downstream."""
+    """Deterministic graph of (phase, counter, estimate) triples. A restriction
+    to part of the states is again an ``AttackObserver``, whose ``parent`` is the
+    full graph (the full graph is its own parent); it is empty when it keeps no
+    initial state."""
 
     def __init__(
         self,
@@ -56,20 +58,27 @@ class AttackObserver:
         attack: AttackSpec,
         states: Iterable[AObsState],
         events: Iterable[str],
-        transitions: Mapping[tuple, AObsState],
-        initial: AObsState,
+        transitions: dict,
+        initial: AObsState | None,
+        parent: "AttackObserver | None" = None,
     ):
         self.plant = plant
         self.attack = attack
         self.states = frozenset(states)
         self.events = frozenset(events)
-        self.transitions = dict(transitions)
+        self.transitions = transitions
         self.initial = initial
-        preds: dict = {}
-        for (src, label), dst in self.transitions.items():
-            preds.setdefault(dst, []).append((src, label))
-        self._enabled = enabled_index(self.transitions)
-        self._preds = {dst: tuple(entries) for dst, entries in preds.items()}
+        self._parent = parent  # None for the full graph, so it holds no cycle to itself
+        self._enabled = enabled_index(transitions)
+        self._preds: dict | None = None
+
+    @property
+    def parent(self) -> "AttackObserver":
+        return self._parent or self
+
+    @property
+    def is_empty(self) -> bool:
+        return self.initial is None
 
     def enabled(self, state: AObsState) -> frozenset:
         return self._enabled.get(state, _EMPTY)
@@ -86,7 +95,33 @@ class AttackObserver:
         return state
 
     def predecessors(self, state: AObsState) -> tuple:
+        # Built on first use, since only the full graph is searched backwards.
+        if self._preds is None:
+            preds: dict = {}
+            for (src, label), dst in self.transitions.items():
+                preds.setdefault(dst, []).append((src, label))
+            self._preds = {dst: tuple(entries) for dst, entries in preds.items()}
         return self._preds.get(state, ())
+
+    def restrict(self, keep: Iterable[AObsState]) -> "AttackObserver":
+        """The part of this graph reachable from its initial state inside ``keep``."""
+        keep = frozenset(keep)
+        reached = {self.initial} & keep
+        frontier = deque(reached)
+        transitions: dict = {}
+        while frontier:
+            state = frontier.popleft()
+            for label in self.enabled(state):
+                target = self.transitions[(state, label)]
+                if target in keep:
+                    transitions[(state, label)] = target
+                    if target not in reached:
+                        reached.add(target)
+                        frontier.append(target)
+        initial = self.initial if reached else None
+        return AttackObserver(
+            self.plant, self.attack, reached, self.events, transitions, initial, self.parent
+        )
 
     def __repr__(self) -> str:
         return f"AttackObserver(states={len(self.states)}, transitions={len(self.transitions)})"

@@ -3,7 +3,8 @@ calls that prints one deterministic JSON report to stdout.
 
 Exit codes: 0 when the analysis ran (whatever the verdict), 1 only when
 --fail-on-violation is set and the checked property is violated/enforced,
-2 on malformed input.
+2 on malformed input, 3 when the synthesized strategy does not cover a
+reachable play.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .strategy import (
     FIRST_VALID,
     RANKED,
     RandomSeeded,
+    StrategyError,
     compute_ranks,
     simulate_play,
     synthesize_strategy,
@@ -145,21 +147,20 @@ def _strategy_for(model: Nfa, attack: AttackSpec, args):
     cannot enforce a violation."""
     enforced, fv = check_enforced(model, attack, getattr(args, "strict_paper", False))
     if not enforced:
-        return None, fv, fv.parent
-    aobs = fv.parent
-    return synthesize_strategy(fv, aobs, args.policy), fv, aobs
+        return None, fv
+    return synthesize_strategy(fv, fv.parent, args.policy), fv
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except InputError as exc:
+    except ValueError as exc:  # InputError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except StrategyError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3
 
 
 def _dispatch(args) -> int:
@@ -235,11 +236,11 @@ def _dispatch(args) -> int:
         return 1 if args.fail_on_violation and verdict else 0
 
     if command == "synthesize":
-        strategy, fv, aobs = _strategy_for(model, attack, args)
+        strategy, fv = _strategy_for(model, attack, args)
         if strategy is None:
             _emit({"command": command, "enforced": False, "strategy_states": 0}, args)
             return 0
-        validation = validate_strategy(strategy, aobs, attack)
+        validation = validate_strategy(strategy, fv.parent, attack)
         report = {
             "command": command,
             "enforced": True,
@@ -261,7 +262,7 @@ def _dispatch(args) -> int:
         return 1 if args.fail_on_violation else 0
 
     if command == "simulate":
-        strategy, fv, aobs = _strategy_for(model, attack, args)
+        strategy, _ = _strategy_for(model, attack, args)
         if strategy is None:
             _emit({"command": command, "enforced": False, "outcome": None}, args)
             return 0
@@ -320,7 +321,7 @@ def _export_stage(model: Nfa, attack: AttackSpec, args) -> int:
         _, fv = check_enforced(model, attack, args.strict_paper)
         dot = export_dot(fv, "final_verifier")
     else:
-        strategy, fv, _ = _strategy_for(model, attack, args)
+        strategy, fv = _strategy_for(model, attack, args)
         dot = export_dot(strategy if strategy is not None else fv, "strategy")
     if args.out:
         Path(args.out).write_text(dot, encoding="utf-8")

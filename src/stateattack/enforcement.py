@@ -7,21 +7,21 @@ from __future__ import annotations
 from .aobs import AObsState, AttackObserver, StateType, attractor, classify
 from .attackmodel import ATTACK_NO, ATTACK_YES, AttackSpec, RESULT_LABELS
 from .automata import Nfa
-from .violation import SubAutomaton, check_violation
+from .violation import check_violation
 
 
-def is_vulnerable_type1(v: SubAutomaton, state: AObsState) -> bool:
+def is_vulnerable_type1(v: AttackObserver, state: AObsState) -> bool:
     """A kept system-move state survives when no system event can leave the
     kept region: every event enabled in the full attack observer must have
     its transition retained."""
-    for label in v.enabled_in_parent(state):
+    for label in v.parent.enabled(state):
         if v.step(state, label) is None:
             return False
     return True
 
 
 def is_vulnerable_type2(
-    v: SubAutomaton,
+    v: AttackObserver,
     aobs: AttackObserver,
     state: AObsState,
     strict_paper: bool = False,
@@ -45,7 +45,7 @@ def is_vulnerable_type2(
     return True
 
 
-def is_vulnerable_type3(v: SubAutomaton, state: AObsState, strict_paper: bool = False) -> bool:
+def is_vulnerable_type3(v: AttackObserver, state: AObsState, strict_paper: bool = False) -> bool:
     """A kept decision state survives when at least one of its decisions
     leads to a surviving state."""
     no_target = v.step(state, ATTACK_NO)
@@ -57,7 +57,7 @@ def is_vulnerable_type3(v: SubAutomaton, state: AObsState, strict_paper: bool = 
     return False
 
 
-def final_verifier(v: SubAutomaton, aobs: AttackObserver, strict_paper: bool = False) -> SubAutomaton:
+def final_verifier(v: AttackObserver, aobs: AttackObserver, strict_paper: bool = False) -> AttackObserver:
     """Prune the verifier down to the states the intruder can hold: those
     outside the system's attractor to the states the verifier left out.
 
@@ -76,12 +76,12 @@ def final_verifier(v: SubAutomaton, aobs: AttackObserver, strict_paper: bool = F
     held = v.states.difference(expelled)
     if len(held) == len(v.states):
         return v
-    return SubAutomaton.restrict(aobs, held)
+    return aobs.restrict(held)
 
 
 def check_enforced(
     g: Nfa, attack: AttackSpec, strict_paper: bool = False
-) -> tuple[bool, SubAutomaton]:
+) -> tuple[bool, AttackObserver]:
     """Full pipeline: the violation verifier pruned to the holdable region.
     The verdict is the nonemptiness of the final verifier."""
     _, verifier = check_violation(g, attack)

@@ -10,7 +10,6 @@ from .aobs import AObsState, AttackObserver, StateType, classify
 from .attackmodel import AttackSpec, RESERVED_LABELS
 from .automata import Dfa, Nfa, _natural_key
 from .strategy import MealyStrategy
-from .violation import SubAutomaton
 
 
 class InputError(ValueError):
@@ -170,34 +169,10 @@ def export_dot(obj, name: str = "automaton") -> str:
     green); strategy edges are labeled input/output."""
     if isinstance(obj, MealyStrategy):
         return _strategy_dot(obj, name)
-    if isinstance(obj, SubAutomaton):
-        if obj.is_empty:
-            return _empty_dot(name)
-        return _graph_dot(
-            name,
-            sorted(obj.states),
-            sorted(obj.transitions.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])),
-            obj.initial,
-            colored=True,
-        )
     if isinstance(obj, AttackObserver):
-        return _graph_dot(
-            name,
-            sorted(obj.states),
-            sorted(obj.transitions.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])),
-            obj.initial,
-            colored=True,
-        )
+        return _graph_dot(name, obj, sorted(obj.states))
     if isinstance(obj, Dfa):
-        if not obj.states:
-            return _empty_dot(name)
-        return _graph_dot(
-            name,
-            sorted(obj.states, key=str),
-            sorted(obj.transitions.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])),
-            obj.initial,
-            colored=False,
-        )
+        return _graph_dot(name, obj, sorted(obj.states, key=str))
     if isinstance(obj, Nfa):
         edges = [((src, label), dst) for src, label, dst in obj.transitions]
         lines = [f"digraph {name} {{", "  rankdir=LR;"]
@@ -211,16 +186,21 @@ def export_dot(obj, name: str = "automaton") -> str:
     raise TypeError(f"cannot export {type(obj).__name__} to DOT")
 
 
-def _graph_dot(name: str, states, edges, initial, colored: bool) -> str:
+def _graph_dot(name: str, graph, states: list) -> str:
+    """DOT text of a deterministic graph (``Dfa`` or ``AttackObserver``) with
+    its states listed in ``states`` order."""
+    if not states:
+        return _empty_dot(name)
     lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=box style=filled fillcolor=white];"]
     for state in states:
         attrs = []
-        if colored and isinstance(state, AObsState):
+        if isinstance(state, AObsState):
             attrs.append(f"fillcolor={_TYPE_FILL[classify(state)]}")
-        if state == initial:
+        if state == graph.initial:
             attrs.append("peripheries=2")
         suffix = f" [{' '.join(attrs)}]" if attrs else ""
         lines.append(f"  {_quote(str(state))}{suffix};")
+    edges = sorted(graph.transitions.items(), key=lambda kv: (str(kv[0][0]), kv[0][1]))
     for (src, label), dst in edges:
         lines.append(f"  {_quote(str(src))} -> {_quote(str(dst))} [label={_quote(str(label))}];")
     lines.append("}")

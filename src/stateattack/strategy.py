@@ -13,7 +13,7 @@ from typing import Mapping
 from .aobs import AObsState, AttackObserver, StateType, attractor, classify
 from .attackmodel import ATTACK_NO, ATTACK_YES, EPSILON, AttackSpec, RESULT_LABELS
 from .automata import Nfa, StateEstimate
-from .violation import SubAutomaton, is_violating, violation_predicate
+from .violation import is_violating, violation_predicate
 
 RANKED = "ranked"
 FIRST_VALID = "first-valid"
@@ -26,7 +26,7 @@ class StrategyError(RuntimeError):
     synthesized from does not cover a reachable situation."""
 
 
-def compute_ranks(fv: SubAutomaton, attack: AttackSpec) -> dict:
+def compute_ranks(fv: AttackObserver, attack: AttackSpec) -> dict:
     """Worst-case distance (in kept transitions) from each kept state to a
     violating estimate: violating system-move states are at 0, decision
     states take the best decision, everything else the worst successor.
@@ -84,7 +84,7 @@ class MealyStrategy:
 
 
 def _choose_decision(
-    fv: SubAutomaton,
+    fv: AttackObserver,
     ranks: Mapping,
     policy: str,
     reference: AObsState,
@@ -116,7 +116,7 @@ def _choose_decision(
 
 
 def synthesize_strategy(
-    fv: SubAutomaton, aobs: AttackObserver, policy: str = RANKED
+    fv: AttackObserver, aobs: AttackObserver, policy: str = RANKED
 ) -> MealyStrategy:
     """Walk the final verifier from its initial state, fixing one attack
     decision per (state, observed event) and recording the resulting
@@ -173,30 +173,40 @@ def validate_strategy(
     strategy: MealyStrategy, aobs: AttackObserver, attack: AttackSpec
 ) -> StrategyReport:
     """Exhaustively unfold the play tree (all system events enabled at each
-    estimate, all defined attack results) and check that every maximal play
-    reaches a violating estimate. The attack budget is inherent in the
-    strategy states, whose counters never exceed it."""
+    estimate, all attack results the attack observer defines) and check that
+    every maximal play reaches a violating estimate. The attack budget is
+    inherent in the strategy states, whose counters never exceed it."""
     if not strategy.states or not strategy.edges:
         raise ValueError("cannot validate an empty strategy")
 
+    def edge_moves(source: AObsState, event: str, turn_state: AObsState):
+        """(step, target) pairs of the edge for ``event`` at ``source``, decided
+        at ``turn_state``: an attack is followed by every result the strategy
+        lists or the attack observer defines, without a target when not listed."""
+        if strategy.decision(source, event) == ATTACK_NO:
+            yield (event, ATTACK_NO, None), strategy.successor(source, event)
+            return
+        pending = aobs.step(turn_state, ATTACK_YES)
+        for result in RESULT_LABELS:
+            target = strategy.successor(source, event, result)
+            if target is not None or aobs.step(pending, result) is not None:
+                yield (event, ATTACK_YES, result), target
+
     def moves(state: AObsState):
         """(step, target) pairs below a system-move state in exploration
-        order; a step without a target is an enabled event without an edge."""
+        order; a step without a target is a move the strategy has no edge for."""
         for event in sorted(aobs.enabled(state)):
-            outputs = strategy.outputs(state, event)
-            if not outputs:
+            if not strategy.outputs(state, event):
                 yield (event, None, None), None
                 return
-            for output, target in outputs:
-                yield (event, output[0], output[1:] or None), target
+            yield from edge_moves(state, event, aobs.step(state, event))
 
-    first = strategy.outputs(strategy.initial, EPSILON)
-    if not first:
+    if not strategy.outputs(strategy.initial, EPSILON):
         return StrategyReport(False, None, (), "no initial decision")
     # Depth-first over an explicit stack of [state, pending moves, worst rounds
     # below]; the bottom frame stands for the initial decision. ``prefix``
     # holds the steps from the initial decision to the move being tried.
-    root = (((EPSILON, output[0], output[1:] or None), target) for output, target in first)
+    root = edge_moves(strategy.initial, EPSILON, strategy.initial)
     stack: list = [[None, root, 0]]
     prefix: list = []
     memo: dict = {}  # state -> max rounds to violation
@@ -214,7 +224,8 @@ def validate_strategy(
         else:
             prefix.append(step)
             if target is None:
-                return StrategyReport(False, None, tuple(prefix), "no edge for enabled event")
+                missing = "enabled event" if step[1] is None else "attack result"
+                return StrategyReport(False, None, tuple(prefix), f"no edge for {missing}")
             if violation_predicate(target.estimate, attack):
                 below = 0
             elif target in memo:

@@ -9,9 +9,7 @@ from typing import Iterable
 
 from .aobs import AObsState, AttackObserver, StateType, attractor, build_attack_observer, classify
 from .attackmodel import AttackSpec
-from .automata import Nfa, StateEstimate, enabled_index
-
-_EMPTY: frozenset = frozenset()
+from .automata import Nfa, StateEstimate
 
 
 def violation_predicate(estimate: StateEstimate, attack: AttackSpec) -> bool:
@@ -30,66 +28,6 @@ def is_violating(state: AObsState, attack: AttackSpec) -> bool:
     return classify(state) is StateType.TYPE_I and violation_predicate(state.estimate, attack)
 
 
-class SubAutomaton:
-    """A restriction of an attack observer to a subset of its states, with the
-    parent kept around for enabledness queries on the full graph.
-
-    Only the part reachable from the parent's initial state is kept; when the
-    initial state itself is not retained the automaton is empty.
-    """
-
-    def __init__(self, parent: AttackObserver, kept: frozenset, initial, transitions: dict):
-        self.parent = parent
-        self.kept = kept
-        self.initial = initial
-        self.transitions = transitions
-        self._enabled = enabled_index(transitions)
-
-    @classmethod
-    def restrict(cls, parent: AttackObserver, keep: Iterable[AObsState]) -> "SubAutomaton":
-        keep = frozenset(keep) & parent.states
-        if parent.initial not in keep:
-            return cls(parent, frozenset(), None, {})
-        reached = {parent.initial}
-        frontier = deque([parent.initial])
-        transitions: dict = {}
-        while frontier:
-            state = frontier.popleft()
-            for label in parent.enabled(state):
-                target = parent.step(state, label)
-                if target not in keep:
-                    continue
-                transitions[(state, label)] = target
-                if target not in reached:
-                    reached.add(target)
-                    frontier.append(target)
-        return cls(parent, frozenset(reached), parent.initial, transitions)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.initial is None
-
-    @property
-    def states(self) -> frozenset:
-        return self.kept
-
-    @property
-    def events(self) -> frozenset:
-        return self.parent.events
-
-    def step(self, state: AObsState, label: str):
-        return self.transitions.get((state, label))
-
-    def enabled(self, state: AObsState) -> frozenset:
-        return self._enabled.get(state, _EMPTY)
-
-    def enabled_in_parent(self, state: AObsState) -> frozenset:
-        return self.parent.enabled(state)
-
-    def __repr__(self) -> str:
-        return f"SubAutomaton(states={len(self.kept)}, transitions={len(self.transitions)})"
-
-
 def intermediate_violating_fixpoint(aobs: AttackObserver, attack: AttackSpec) -> frozenset:
     """Least set of attack-observer states from which the intruder can still
     steer the play to a violating estimate: the attractor of the violating
@@ -103,12 +41,12 @@ def intermediate_violating_fixpoint(aobs: AttackObserver, attack: AttackSpec) ->
     return frozenset(attractor(aobs, targets, need))
 
 
-def build_verifier(aobs: AttackObserver, violating_reachable: Iterable[AObsState]) -> SubAutomaton:
+def build_verifier(aobs: AttackObserver, violating_reachable: Iterable[AObsState]) -> AttackObserver:
     """Restrict the attack observer to the violating-reachable states."""
-    return SubAutomaton.restrict(aobs, violating_reachable)
+    return aobs.restrict(violating_reachable)
 
 
-def witness_labels(verifier: SubAutomaton, attack: AttackSpec) -> list | None:
+def witness_labels(verifier: AttackObserver, attack: AttackSpec) -> list | None:
     """Shortest label sequence in the verifier from its initial state to a
     violating estimate, or None when the verifier is empty."""
     if verifier.is_empty:
@@ -127,7 +65,7 @@ def witness_labels(verifier: SubAutomaton, attack: AttackSpec) -> list | None:
     return None
 
 
-def check_violation(g: Nfa, attack: AttackSpec) -> tuple[bool, SubAutomaton]:
+def check_violation(g: Nfa, attack: AttackSpec) -> tuple[bool, AttackObserver]:
     """Full pipeline: build the attack observer, close backwards from the
     violating estimates, and restrict. The verdict is the nonemptiness of the
     resulting verifier."""

@@ -202,6 +202,15 @@ def test_reports_are_deterministic(capsys, model_path, spec_path):
 SAMPLES = Path(__file__).parent.parent / "samples"
 
 
+# Per sample spec, without and with --strict-paper: the "sound" field of the
+# synthesize report (None when nothing is enforced) and simulate's exit code.
+STRATEGY_OUTCOMES = {
+    "attack-narrow.json": ((None, 0), (None, 0)),
+    "attack-wide.json": ((True, 0), (False, 3)),
+    "attack-opacity.json": ((None, 0), (False, 3)),
+}
+
+
 @pytest.mark.parametrize(
     "attack_file,violated,enforced",
     [
@@ -217,3 +226,12 @@ def test_committed_samples_end_to_end(capsys, attack_file, violated, enforced):
     assert json.loads(out)["verdict"] is violated
     _, out = run(capsys, "check-enforced", "--model", model, "--spec", spec)
     assert json.loads(out)["verdict"] is enforced
+    for strict, (sound, simulate_code) in zip(([], ["--strict-paper"]), STRATEGY_OUTCOMES[attack_file]):
+        code, out = run(capsys, "synthesize", "--model", model, "--spec", spec, *strict)
+        assert code == 0
+        assert json.loads(out).get("sound") is sound
+        code = main(["simulate", "--model", model, "--spec", spec, *strict])
+        err = capsys.readouterr().err
+        assert code == simulate_code
+        if code == 3:
+            assert err.startswith("error: ") and err.count("\n") == 1

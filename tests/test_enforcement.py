@@ -6,6 +6,7 @@ import pytest
 from helpers import aob
 
 from stateattack import (
+    AttackObserver,
     AttackSpec,
     Nfa,
     StateType,
@@ -17,7 +18,6 @@ from stateattack import (
     is_vulnerable_type2,
     is_vulnerable_type3,
 )
-from stateattack.violation import SubAutomaton
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +51,7 @@ def test_type2_vulnerable_when_both_results_stay(fv_2489):
 
 
 def test_type2_readings_differ_after_pruning_a_result(fv_2489):
-    pruned = SubAutomaton.restrict(fv_2489.parent, fv_2489.states - {aob("S", "1", "5")})
+    pruned = fv_2489.parent.restrict(fv_2489.states - {aob("S", "1", "5")})
     state = aob("AY", "0Y", "4,5")
     assert not is_vulnerable_type2(pruned, pruned.parent, state)
     assert is_vulnerable_type2(pruned, pruned.parent, state, strict_paper=True)
@@ -63,8 +63,8 @@ def test_type3_vulnerable_through_either_decision(fv_2489):
 
 
 def test_type3_not_vulnerable_with_both_successors_pruned(fv_2489):
-    pruned = SubAutomaton.restrict(
-        fv_2489.parent, fv_2489.states - {aob("S", "0N", "4,5"), aob("AY", "0Y", "4,5")}
+    pruned = fv_2489.parent.restrict(
+        fv_2489.states - {aob("S", "0N", "4,5"), aob("AY", "0Y", "4,5")}
     )
     assert not is_vulnerable_type3(pruned, aob("A", "0", "4,5"))
 
@@ -118,10 +118,10 @@ def test_enforced_implies_violating(instances):
         assert fv.states <= verifier.states
 
 
-def closure_holds(sub: SubAutomaton, state) -> bool:
+def closure_holds(sub: AttackObserver, state) -> bool:
     kind = classify(state)
     if kind is StateType.TYPE_I:
-        return all(sub.step(state, e) is not None for e in sub.enabled_in_parent(state))
+        return all(sub.step(state, e) is not None for e in sub.parent.enabled(state))
     if kind is StateType.TYPE_II:
         return all(
             sub.step(state, r) is not None
@@ -140,7 +140,7 @@ def test_final_verifier_closure(fv_2489, instances):
             assert closure_holds(fv, state)
 
 
-def greatest_closed_restriction(verifier: SubAutomaton, strict_paper: bool = False) -> frozenset:
+def greatest_closed_restriction(verifier: AttackObserver, strict_paper: bool = False) -> frozenset:
     """Alternative pruning schedule: drop any offending state, one at a time,
     in reverse order, ignoring accessibility until the very end. In the
     strict reading a result-wait state is always closed."""
@@ -154,7 +154,7 @@ def greatest_closed_restriction(verifier: SubAutomaton, strict_paper: bool = Fal
             if kind is StateType.TYPE_I:
                 ok = all(
                     verifier.step(state, e) in kept
-                    for e in verifier.enabled_in_parent(state)
+                    for e in verifier.parent.enabled(state)
                 )
             elif kind is StateType.TYPE_II:
                 ok = strict_paper or all(
@@ -178,6 +178,6 @@ def test_pruning_is_order_insensitive(plant, attack_24, attack_2489, instances, 
         _, verifier = check_violation(case_plant, case_attack)
         fv = final_verifier(verifier, verifier.parent, strict_paper)
         closed = greatest_closed_restriction(verifier, strict_paper)
-        expected = SubAutomaton.restrict(verifier.parent, closed)
+        expected = verifier.parent.restrict(closed)
         assert fv.states == expected.states
         assert fv.transitions == expected.transitions

@@ -2,6 +2,7 @@
 exhaustive play-tree validation, and play simulation."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -18,13 +19,15 @@ from stateattack import (
     check_violation,
     compute_ranks,
     final_verifier,
+    parse_model,
+    parse_spec,
     simulate_play,
     synthesize_strategy,
     validate_strategy,
 )
 from stateattack.aobs import StateType, classify
 from stateattack.attackmodel import EPSILON
-from stateattack.violation import SubAutomaton, violation_predicate
+from stateattack.violation import violation_predicate
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +67,7 @@ def test_ranks_infinite_on_cycle_without_exit(plant, attack_24, aobs_24):
         aob("A", "0", "2,3"), aob("S", "0N", "2,3"),
         aob("A", "0", "4,5"), aob("S", "0N", "4,5"),
     }
-    sub = SubAutomaton.restrict(aobs_24, loop)
+    sub = aobs_24.restrict(loop)
     assert sub.states == frozenset(loop)
     ranks = compute_ranks(sub, attack_24)
     assert all(math.isinf(value) for value in ranks.values())
@@ -260,6 +263,20 @@ def test_validation_rejects_empty_strategy(aobs_2489, attack_2489):
     with pytest.raises(ValueError):
         validate_strategy(empty, aobs_2489, attack_2489)
 
+
+def test_validation_follows_every_defined_attack_result():
+    # Under the strict reading the result-wait state after d keeps only the
+    # branch of result 1 in the final verifier, so the strategy lists no
+    # output for result 0, which the system can still give.
+    samples = Path(__file__).parent.parent / "samples"
+    plant = parse_model((samples / "model.json").read_text())
+    attack = parse_spec((samples / "attack-wide.json").read_text(), plant)
+    _, fv = check_enforced(plant, attack, strict_paper=True)
+    strategy = synthesize_strategy(fv, fv.parent)
+    report = validate_strategy(strategy, fv.parent, attack)
+    assert not report.sound
+    assert report.counterexample == (("ε", "N", None), ("d", "Y", "0"))
+    assert report.reason == "no edge for attack result"
 
 def test_play_tree_budget_and_disclosure(ranked_2489, aobs_2489, attack_2489):
     budget = attack_2489.budget
