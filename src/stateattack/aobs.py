@@ -1,6 +1,13 @@
 """The deterministic game graph every check runs on: estimates tracked
 through attack rounds, with states classified by whose move is pending, and
-the attractor that solves reachability games on it."""
+the attractor that solves reachability games on it.
+
+The graph is built in one worklist over (phase, counter, estimate), with
+estimates as bitmasks over the plant states. It equals the paper's
+construction, the turn and budget structure (``bounded_game_structure``)
+composed with the observer of the attacked plant (``system_attack_model``,
+``observer``), which stays in ``attackmodel`` and ``automata`` as the
+reference the tests check this builder against."""
 
 from __future__ import annotations
 
@@ -10,14 +17,17 @@ from enum import Enum
 from typing import Iterable, Mapping
 
 from .attackmodel import (
+    ATTACK_NO,
+    ATTACK_YES,
+    RESULT_IN,
+    RESULT_OUT,
     AttackSpec,
     GameCounter,
     PHASE_AWAIT,
+    PHASE_DECIDE,
     PHASE_SYSTEM,
-    bounded_game_structure,
-    system_attack_model,
 )
-from .automata import Nfa, StateEstimate, compose, enabled_index, observer
+from .automata import Nfa, StateEstimate, _natural_key
 
 _EMPTY: frozenset = frozenset()
 
@@ -47,10 +57,13 @@ def classify(state: AObsState) -> StateType:
 
 
 class AttackObserver:
-    """Deterministic graph of (phase, counter, estimate) triples. A restriction
-    to part of the states is again an ``AttackObserver``, whose ``parent`` is the
-    full graph (the full graph is its own parent); it is empty when it keeps no
-    initial state."""
+    """Deterministic graph of (phase, counter, estimate) triples. ``enabled``
+    maps each state with outgoing transitions to the set of their labels; the
+    code that adds a state's transitions collects it at the same time, since
+    indexing the transitions afterwards hashes every source state again. A
+    restriction to part of the states is again an ``AttackObserver``, whose
+    ``parent`` is the full graph (the full graph is its own parent); it is
+    empty when it keeps no initial state."""
 
     def __init__(
         self,
@@ -59,6 +72,7 @@ class AttackObserver:
         states: Iterable[AObsState],
         events: Iterable[str],
         transitions: dict,
+        enabled: dict,
         initial: AObsState | None,
         parent: "AttackObserver | None" = None,
     ):
@@ -69,7 +83,7 @@ class AttackObserver:
         self.transitions = transitions
         self.initial = initial
         self._parent = parent  # None for the full graph, so it holds no cycle to itself
-        self._enabled = enabled_index(transitions)
+        self._enabled = enabled
         self._preds: dict | None = None
 
     @property
@@ -109,45 +123,116 @@ class AttackObserver:
         reached = {self.initial} & keep
         frontier = deque(reached)
         transitions: dict = {}
+        enabled: dict = {}
         while frontier:
             state = frontier.popleft()
+            labels = []
             for label in self.enabled(state):
                 target = self.transitions[(state, label)]
                 if target in keep:
                     transitions[(state, label)] = target
+                    labels.append(label)
                     if target not in reached:
                         reached.add(target)
                         frontier.append(target)
+            if labels:
+                enabled[state] = frozenset(labels)
         initial = self.initial if reached else None
         return AttackObserver(
-            self.plant, self.attack, reached, self.events, transitions, initial, self.parent
+            self.plant, self.attack, reached, self.events, transitions, enabled, initial,
+            self.parent,
         )
 
     def __repr__(self) -> str:
         return f"AttackObserver(states={len(self.states)}, transitions={len(self.transitions)})"
 
 
+def _bits(mask: int):
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def build_attack_observer(g: Nfa, attack: AttackSpec) -> AttackObserver:
-    """Compose the bounded turn structure with the observer of the attacked
-    plant and flatten the pair states into (phase, counter, estimate) triples."""
+    """Explore the attack observer from (A, 0, initial states) in one worklist.
+
+    An estimate is a bitmask: bit i is the i-th plant state in natural order.
+    The intruder declines, (A,k) -N-> (S,kN), or attacks while k < budget,
+    (A,k) -Y-> (AY,kY); a result keeps the attacked part (1) or the rest (0)
+    when that part is nonempty, (AY,kY) -r-> (S,k+1); a plant event moves a
+    system state to the nonempty image, (S,kN) or (S,k) -e-> (A,k). Each mask,
+    counter value and graph state becomes exactly one object, so lookups in
+    the graph's dictionaries match by identity.
+    """
     attack.validate_for(g)
-    attacked_plant = system_attack_model(g, attack.attacked)
-    estimator = observer(attacked_plant)
-    game = bounded_game_structure(g.events, attack.budget)
-    composed = compose(game, estimator)
+    order = sorted(g.states, key=_natural_key)
+    index = {state: i for i, state in enumerate(order)}
+    events = sorted(g.events)
+    successors = {event: [0] * len(order) for event in events}
+    for src, event, dst in g.transitions:
+        successors[event][index[src]] |= 1 << index[dst]
+    images: dict = {event: {} for event in events}
+    attacked = sum(1 << index[state] for state in attack.attacked)
+    budget = attack.budget
 
-    def flatten(pair) -> AObsState:
-        (phase, counter), estimate = pair
-        return AObsState(phase, counter, estimate)
+    def image(event: str, mask: int) -> int:
+        memo = images[event]
+        out = memo.get(mask)
+        if out is None:
+            table, out = successors[event], 0
+            for i in _bits(mask):
+                out |= table[i]
+            memo[mask] = out
+        return out
 
-    states = {flatten(s) for s in composed.states}
-    transitions = {
-        (flatten(src), label): flatten(dst)
-        for (src, label), dst in composed.transitions.items()
-    }
-    return AttackObserver(
-        g, attack, states, composed.events, transitions, flatten(composed.initial)
-    )
+    counters: dict = {}
+    estimates: dict = {}
+    nodes: dict = {}
+    queue: deque = deque()
+
+    def node(phase: str, count: int, tag: str, mask: int) -> AObsState:
+        key = (phase, count, tag, mask)
+        state = nodes.get(key)
+        if state is None:
+            counter = counters.get((count, tag))
+            if counter is None:
+                counter = counters[(count, tag)] = GameCounter(count, tag)
+            estimate = estimates.get(mask)
+            if estimate is None:
+                estimate = estimates[mask] = StateEstimate(tuple(order[i] for i in _bits(mask)))
+            state = nodes[key] = AObsState(phase, counter, estimate)
+            queue.append((phase, count, mask, state))
+        return state
+
+    initial = node(PHASE_DECIDE, 0, "", sum(1 << index[state] for state in g.initial))
+    transitions: dict = {}
+    enabled: dict = {}
+    label_sets: dict = {}
+    while queue:
+        phase, count, mask, state = queue.popleft()
+        if phase == PHASE_DECIDE:
+            moves = [(ATTACK_NO, PHASE_SYSTEM, count, "N", mask)]
+            if count < budget:
+                moves.append((ATTACK_YES, PHASE_AWAIT, count, "Y", mask))
+        elif phase == PHASE_AWAIT:
+            moves = [
+                (RESULT_IN, PHASE_SYSTEM, count + 1, "", mask & attacked),
+                (RESULT_OUT, PHASE_SYSTEM, count + 1, "", mask & ~attacked),
+            ]
+        else:
+            moves = [(event, PHASE_DECIDE, count, "", image(event, mask)) for event in events]
+        labels = []
+        for label, phase_to, count_to, tag, part in moves:
+            if part:  # an empty estimate: no transition
+                transitions[(state, label)] = node(phase_to, count_to, tag, part)
+                labels.append(label)
+        if labels:
+            key = tuple(labels)
+            enabled[state] = label_sets.setdefault(key, frozenset(key))
+    alphabet = g.events | {ATTACK_YES, ATTACK_NO, RESULT_IN, RESULT_OUT}
+    return AttackObserver(g, attack, nodes.values(), alphabet, transitions, enabled, initial)
 
 
 def attractor(aobs: AttackObserver, targets: Iterable[AObsState], need: Mapping) -> dict:

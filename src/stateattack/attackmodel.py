@@ -1,6 +1,8 @@
 """Intruder capability description and the auxiliary game automata that
 wrap a plant for analysis: the attacked plant, the attack-budget counter,
-the turn structure, and their bounded composition."""
+the turn structure, and their bounded composition. The automata are the
+paper's construction of the attack observer, kept as the reference that
+``aobs.build_attack_observer`` is tested against."""
 
 from __future__ import annotations
 
@@ -186,6 +188,10 @@ def game_structure(events: Iterable[str]) -> Dfa:
 
 def bounded_game_structure(events: Iterable[str], budget: int) -> Dfa:
     """Turn structure refined with the attack counter; states are
-    (phase, counter) pairs and only 4*budget+2 of them are reachable."""
+    (phase, counter) pairs and only 4*budget+2 of them are reachable.
+
+    Reference only: ``aobs.build_attack_observer`` writes these turn rules
+    out directly, and the tests compose this automaton with the observer of
+    the attacked plant to check it."""
     events = frozenset(events)
     return compose(game_structure(events), number_attack_model(events, budget))

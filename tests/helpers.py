@@ -1,12 +1,13 @@
 """Shared fixtures: the ten-state running example, compact constructors for
-attack-observer states, and the deterministic random-instance corpus."""
+attack-observer states, the deterministic random-instance corpus, and the
+paper's composed construction of the attack observer."""
 
 import random
 
 from stateattack import AttackSpec, Nfa
-from stateattack.aobs import AObsState
-from stateattack.attackmodel import GameCounter
-from stateattack.automata import StateEstimate
+from stateattack.aobs import AObsState, AttackObserver
+from stateattack.attackmodel import GameCounter, bounded_game_structure, system_attack_model
+from stateattack.automata import StateEstimate, compose, enabled_index, observer
 
 TEN_STATE_TRANSITIONS = [
     ("1", "a", "2"), ("1", "a", "3"), ("1", "d", "6"), ("1", "d", "9"),
@@ -75,3 +76,28 @@ def random_instance(rng: random.Random):
 def corpus(count: int = 220, seed: int = MASTER_SEED) -> list:
     rng = random.Random(seed)
     return [random_instance(rng) for _ in range(count)]
+
+
+def composed_attack_observer(g: Nfa, attack: AttackSpec) -> AttackObserver:
+    """The attack observer as the paper constructs it: the bounded turn
+    structure composed with the observer of the attacked plant, with the pair
+    states flattened into (phase, counter, estimate) triples."""
+    attack.validate_for(g)
+    attacked_plant = system_attack_model(g, attack.attacked)
+    estimator = observer(attacked_plant)
+    game = bounded_game_structure(g.events, attack.budget)
+    composed = compose(game, estimator)
+
+    def flatten(pair) -> AObsState:
+        (phase, counter), estimate = pair
+        return AObsState(phase, counter, estimate)
+
+    states = {flatten(s) for s in composed.states}
+    transitions = {
+        (flatten(src), label): flatten(dst)
+        for (src, label), dst in composed.transitions.items()
+    }
+    return AttackObserver(
+        g, attack, states, composed.events, transitions, enabled_index(transitions),
+        flatten(composed.initial),
+    )

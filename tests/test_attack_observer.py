@@ -1,13 +1,21 @@
-"""The attack-observer game graph: fixture sizes, transition chains, state
-typing, and the estimate-filtering semantics cross-checked against the
-direct trace evaluation."""
+"""The attack-observer game graph: the worklist builder against the paper's
+composed construction, fixture sizes, transition chains, state typing, and
+the estimate-filtering semantics cross-checked against the direct trace
+evaluation."""
 
 import random
 from collections import deque
+from pathlib import Path
 
 import pytest
 
-from helpers import aob, random_instance
+from helpers import (
+    ATTACK_24,
+    ATTACK_2489,
+    aob,
+    composed_attack_observer,
+    random_instance,
+)
 
 from stateattack import (
     AttackSpec,
@@ -17,8 +25,103 @@ from stateattack import (
     classify,
     enabled_in_aobs,
     filtered_estimate,
+    intermediate_violating_fixpoint,
+    parse_model,
+    parse_spec,
 )
+from stateattack.automata import enabled_index
 from stateattack.oracle import AttackRound, AttackTrace
+
+SAMPLES = Path(__file__).parent.parent / "samples"
+
+
+def assert_matches_reference(plant, attack):
+    """The builder's graph equals the composed one, holds one object per
+    state, and its restrictions index their enabled labels correctly."""
+    built = build_attack_observer(plant, attack)
+    reference = composed_attack_observer(plant, attack)
+    assert built.states == reference.states
+    assert built.transitions == reference.transitions
+    assert built.initial == reference.initial
+    assert built.events == reference.events
+    held = {state: state for state in built.states}
+    assert built.initial is held[built.initial]
+    for (src, _label), dst in built.transitions.items():
+        assert src is held[src] and dst is held[dst]
+    verifier = built.restrict(intermediate_violating_fixpoint(built, attack))
+    for graph in (built, verifier):
+        index = enabled_index(graph.transitions)
+        assert all(graph.enabled(s) == index.get(s, frozenset()) for s in graph.states)
+    return built
+
+
+def test_builder_matches_composition_on_corpus(instances):
+    for plant, attack in instances:
+        assert_matches_reference(plant, attack)
+
+
+@pytest.mark.parametrize("attack", [ATTACK_24, ATTACK_2489], ids=["24", "2489"])
+def test_builder_matches_composition_on_fixtures(plant, attack):
+    assert_matches_reference(plant, attack)
+
+
+@pytest.mark.parametrize("spec", ["attack-narrow.json", "attack-wide.json", "attack-opacity.json"])
+def test_builder_matches_composition_on_samples(spec):
+    plant = parse_model((SAMPLES / "model.json").read_text())
+    assert_matches_reference(plant, parse_spec((SAMPLES / spec).read_text(), plant))
+
+
+def await_states(aobs):
+    return [s for s in aobs.states if classify(s) is StateType.TYPE_II]
+
+
+def test_builder_budget_zero_never_attacks(plant):
+    aobs = assert_matches_reference(plant, AttackSpec(frozenset({"2", "4"}), 0))
+    assert not await_states(aobs)
+    assert all(label != "Y" for _src, label in aobs.transitions)
+
+
+@pytest.mark.parametrize("attacked, result", [(frozenset(), "0"), (None, "1")], ids=["none", "all"])
+def test_builder_one_result_when_attack_is_uninformative(plant, attacked, result):
+    attack = AttackSpec(plant.states if attacked is None else attacked, 2)
+    aobs = assert_matches_reference(plant, attack)
+    assert await_states(aobs)
+    assert all(aobs.enabled(s) == {result} for s in await_states(aobs))
+
+
+def test_builder_several_initial_states():
+    g = Nfa(["p", "q", "r", "s"], ["a"],
+            [("p", "a", "q"), ("q", "a", "r"), ("r", "a", "p"), ("s", "a", "s")],
+            ["p", "q", "s"])
+    aobs = assert_matches_reference(g, AttackSpec(frozenset({"q"}), 1))
+    assert aobs.initial == aob("A", "0", "p,q,s")
+
+
+def test_builder_dead_end_plant_state():
+    g = Nfa(["x", "y", "z"], ["a", "b"], [("x", "a", "y"), ("x", "b", "z"), ("z", "b", "z")], ["x"])
+    aobs = assert_matches_reference(g, AttackSpec(frozenset({"y"}), 1))
+    assert aob("S", "0N", "y") in aobs.states
+    assert aobs.enabled(aob("S", "0N", "y")) == frozenset()
+
+
+def test_builder_orders_members_naturally():
+    g = Nfa(["1", "2", "10"], ["a"], [("1", "a", "10"), ("1", "a", "2"), ("10", "a", "1")], ["1"])
+    aobs = assert_matches_reference(g, AttackSpec(frozenset({"10"}), 1))
+    target = aobs.run(["N", "a"])
+    assert target.estimate.members == ("2", "10")
+    assert aobs.step(aobs.run(["N", "a", "Y"]), "1").estimate.members == ("10",)
+
+
+def test_builder_masks_wider_than_a_machine_word():
+    names = [f"s{i}" for i in range(70)]
+    stay = [(name, "a", name) for name in names]
+    jump = [(name, "b", names[-1]) for name in names[::2]]
+    g = Nfa(names, ["a", "b"], stay + jump, names)
+    attacked = frozenset(names[::3])
+    aobs = assert_matches_reference(g, AttackSpec(attacked, 1))
+    assert aobs.initial.estimate.members == tuple(names)
+    assert aobs.run(["Y", "0"]).estimate.members == tuple(n for n in names if n not in attacked)
+    assert aobs.run(["N", "b"]).estimate.members == ("s69",)
 
 
 def test_attack_observer_fixture_34_states(aobs_24):
