@@ -7,14 +7,22 @@ estimates as bitmasks over the plant states. It equals the paper's
 construction, the turn and budget structure (``bounded_game_structure``)
 composed with the observer of the attacked plant (``system_attack_model``,
 ``observer``), which stays in ``attackmodel`` and ``automata`` as the
-reference the tests check this builder against."""
+reference the tests check this builder against.
+
+Nodes are integer ids in worklist order. The violation closure, the
+holdable region, the ranks and the witness are computed on the ids, the
+per-node (phase, count, tag, mask) keys and the successor lists, and
+restrictions are kept-id views over the same lists. ``AObsState`` objects
+are the state-level view of a node: made when a caller asks for one, once
+per node, and never on the way to a verdict."""
 
 from __future__ import annotations
 
-from collections import deque
+import copy
+import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .attackmodel import (
     ATTACK_NO,
@@ -57,34 +65,57 @@ def classify(state: AObsState) -> StateType:
 
 
 class AttackObserver:
-    """Deterministic graph of (phase, counter, estimate) triples. ``enabled``
-    maps each state with outgoing transitions to the set of their labels; the
-    code that adds a state's transitions collects it at the same time, since
-    indexing the transitions afterwards hashes every source state again. A
-    restriction to part of the states is again an ``AttackObserver``, whose
-    ``parent`` is the full graph (the full graph is its own parent); it is
-    empty when it keeps no initial state."""
+    """Deterministic graph of (phase, counter, estimate) triples, held as
+    integer node ids.
+
+    Node ``i`` has the phase ``phase[i]``, the counter ``count[i]`` with tag
+    ``tag[i]``, and the estimate ``mask[i]``, whose bit b is the plant state
+    ``order[b]``. ``labels[i]`` and ``targets[i]`` list its outgoing
+    transitions as parallel tuples of labels and target ids. The verdict
+    algorithms run on these lists. ``AObsState`` objects, with their
+    ``GameCounter`` and ``StateEstimate``, are made only when a caller asks
+    for the state-level view (``states``, ``transitions``, ``initial``,
+    ``step``, ``enabled``, ``predecessors``, ``run``), once per node, so
+    equal states are the same object.
+
+    A restriction to part of the nodes (``restrict``, ``restrict_ids``) is
+    again an ``AttackObserver`` over the same lists: it keeps the ids in
+    ``ids``, flags them in ``kept``, and copies no transitions. Its
+    ``parent`` is the full graph (the full graph is its own parent), and it
+    is empty when it keeps no initial node.
+    """
 
     def __init__(
         self,
         plant: Nfa,
         attack: AttackSpec,
-        states: Iterable[AObsState],
         events: Iterable[str],
-        transitions: dict,
-        enabled: dict,
-        initial: AObsState | None,
-        parent: "AttackObserver | None" = None,
+        order: list,
+        nodes: list,
+        labels: list,
+        targets: list,
+        initial: int = 0,
     ):
+        """The full graph of the (phase, count, tag, mask) ``nodes``."""
         self.plant = plant
         self.attack = attack
-        self.states = frozenset(states)
         self.events = frozenset(events)
-        self.transitions = transitions
-        self.initial = initial
-        self._parent = parent  # None for the full graph, so it holds no cycle to itself
-        self._enabled = enabled
-        self._preds: dict | None = None
+        self.order = order
+        self.phase, self.count, self.tag, self.mask = zip(*nodes)
+        self.labels = labels
+        self.targets = targets
+        self.initial_id: int | None = initial
+        self.ids = range(len(nodes))
+        self.kept = bytearray(b"\x01") * len(nodes)
+        self._parent = None  # the full graph holds no cycle to itself
+        self._enabled: dict = {}  # id -> frozenset of its kept labels, filled on lookup
+        # Shared with every restriction, so a node has one object everywhere.
+        self._objects: list = [None] * len(nodes)  # id -> AObsState, made on demand
+        self._index: dict = {}  # AObsState -> id, filled on first lookup
+        self._counters: dict = {}  # (count, tag) -> its one GameCounter
+        self._estimates: dict = {}  # mask -> its one StateEstimate
+        self._label_sets: dict = {}  # label tuple -> its one frozenset
+        self._preds: list | None = None
 
     @property
     def parent(self) -> "AttackObserver":
@@ -92,59 +123,155 @@ class AttackObserver:
 
     @property
     def is_empty(self) -> bool:
-        return self.initial is None
+        return self.initial_id is None
 
-    def enabled(self, state: AObsState) -> frozenset:
-        return self._enabled.get(state, _EMPTY)
+    @property
+    def preds(self) -> list:
+        """``preds[j]``: the ids with a transition into ``j``, once per
+        transition, in the order of the sources. Built on first use, and only
+        for the full graph, the one searched backwards."""
+        base = self.parent
+        if base._preds is None:
+            preds: list = [[] for _ in base.ids]
+            for i, targets in enumerate(base.targets):
+                for j in targets:
+                    preds[j].append(i)
+            base._preds = preds
+        return base._preds
 
-    def step(self, state: AObsState, label: str) -> AObsState | None:
-        return self.transitions.get((state, label))
+    def mask_of(self, states: Iterable[str]) -> int:
+        """The estimate mask of a set of plant states."""
+        bit = {state: b for b, state in enumerate(self.order)}
+        return sum(1 << bit[state] for state in states)
 
-    def run(self, labels: Iterable[str]) -> AObsState | None:
-        state = self.initial
-        for label in labels:
-            if state is None:
-                return None
-            state = self.transitions.get((state, label))
+    def kept_targets(self, i: int) -> list:
+        """(label, target id) pairs of the transitions of ``i`` kept here."""
+        kept = self.kept
+        return [(label, j) for label, j in zip(self.labels[i], self.targets[i]) if kept[j]]
+
+    def target(self, i: int, label: str) -> int | None:
+        """The id ``label`` leads to from ``i`` here, or None."""
+        labels = self.labels[i]
+        if label in labels:
+            j = self.targets[i][labels.index(label)]
+            if self.kept[j]:
+                return j
+        return None
+
+    def restrict_ids(self, keep: Iterable[int]) -> "AttackObserver":
+        """The part of this graph reachable from its initial node inside
+        ``keep``, a collection of node ids."""
+        inside = bytearray(len(self.kept))
+        for i in keep:
+            inside[i] = self.kept[i]
+        start = self.initial_id
+        reached = [start] if start is not None and inside[start] else []
+        if reached:
+            inside[start] = 0  # a reached id leaves ``inside``, so it is reached once
+        for i in reached:  # grows while it is walked: breadth first
+            for j in self.targets[i]:
+                if inside[j]:
+                    inside[j] = 0
+                    reached.append(j)
+        base = self.parent
+        view = copy.copy(base)  # shares the lists and caches of the full graph
+        for name in ("states", "transitions"):  # the full graph's cached views
+            view.__dict__.pop(name, None)
+        view._parent, view.ids, view._enabled = base, reached, {}
+        view.initial_id = start if reached else None
+        view.kept = bytearray(len(base.kept))
+        for i in reached:
+            view.kept[i] = 1
+        return view
+
+    # --- the state-level view ------------------------------------------------
+
+    def state_of(self, i: int) -> AObsState:
+        """The one ``AObsState`` object of node ``i``."""
+        state = self._objects[i]
+        if state is None:
+            count, tag, mask = self.count[i], self.tag[i], self.mask[i]
+            counter = self._counters.get((count, tag))
+            if counter is None:
+                counter = self._counters[(count, tag)] = GameCounter(count, tag)
+            estimate = self._estimates.get(mask)
+            if estimate is None:
+                members = tuple(self.order[b] for b in _bits(mask))
+                estimate = self._estimates[mask] = StateEstimate(members)
+            state = self._objects[i] = AObsState(self.phase[i], counter, estimate)
         return state
 
+    def id_of(self, state: AObsState) -> int | None:
+        """The id of ``state`` in this graph, or None when it is not here."""
+        if not self._index:
+            self._index.update((self.state_of(i), i) for i in range(len(self.kept)))
+        i = self._index.get(state)
+        return i if i is not None and self.kept[i] else None
+
+    @functools.cached_property
+    def states(self) -> frozenset:
+        return frozenset(map(self.state_of, self.ids))
+
+    @functools.cached_property
+    def transitions(self) -> dict:
+        state_of = self.state_of
+        return {
+            (state_of(i), label): state_of(j)
+            for i in self.ids
+            for label, j in self.kept_targets(i)
+        }
+
+    @property
+    def initial(self) -> AObsState | None:
+        return None if self.initial_id is None else self.state_of(self.initial_id)
+
+    def enabled(self, state: AObsState) -> frozenset:
+        i = self.id_of(state)
+        if i is None:
+            return _EMPTY
+        enabled = self._enabled.get(i)
+        if enabled is None:
+            labels = tuple(label for label, _j in self.kept_targets(i))
+            enabled = self._label_sets.get(labels)
+            if enabled is None:
+                enabled = self._label_sets[labels] = frozenset(labels)
+            self._enabled[i] = enabled
+        return enabled
+
+    def step(self, state: AObsState, label: str) -> AObsState | None:
+        i = self.id_of(state)
+        j = None if i is None else self.target(i, label)
+        return None if j is None else self.state_of(j)
+
+    def run(self, labels: Iterable[str]) -> AObsState | None:
+        i = self.initial_id
+        for label in labels:
+            if i is None:
+                return None
+            i = self.target(i, label)
+        return None if i is None else self.state_of(i)
+
     def predecessors(self, state: AObsState) -> tuple:
-        # Built on first use, since only the full graph is searched backwards.
-        if self._preds is None:
-            preds: dict = {}
-            for (src, label), dst in self.transitions.items():
-                preds.setdefault(dst, []).append((src, label))
-            self._preds = {dst: tuple(entries) for dst, entries in preds.items()}
-        return self._preds.get(state, ())
+        """(source, label) pairs of the transitions into ``state``."""
+        j = self.id_of(state)
+        if j is None:
+            return ()
+        sources = dict.fromkeys(i for i in self.preds[j] if self.kept[i])
+        return tuple(
+            (self.state_of(i), label)
+            for i in sources
+            for label, target in zip(self.labels[i], self.targets[i])
+            if target == j
+        )
 
     def restrict(self, keep: Iterable[AObsState]) -> "AttackObserver":
         """The part of this graph reachable from its initial state inside ``keep``."""
-        keep = frozenset(keep)
-        reached = {self.initial} & keep
-        frontier = deque(reached)
-        transitions: dict = {}
-        enabled: dict = {}
-        while frontier:
-            state = frontier.popleft()
-            labels = []
-            for label in self.enabled(state):
-                target = self.transitions[(state, label)]
-                if target in keep:
-                    transitions[(state, label)] = target
-                    labels.append(label)
-                    if target not in reached:
-                        reached.add(target)
-                        frontier.append(target)
-            if labels:
-                enabled[state] = frozenset(labels)
-        initial = self.initial if reached else None
-        return AttackObserver(
-            self.plant, self.attack, reached, self.events, transitions, enabled, initial,
-            self.parent,
-        )
+        ids = (self.id_of(state) for state in keep)
+        return self.restrict_ids([i for i in ids if i is not None])
 
     def __repr__(self) -> str:
-        return f"AttackObserver(states={len(self.states)}, transitions={len(self.transitions)})"
+        edges = sum(len(self.kept_targets(i)) for i in self.ids)
+        return f"AttackObserver(states={len(self.ids)}, transitions={edges})"
 
 
 def _bits(mask: int):
@@ -162,9 +289,8 @@ def build_attack_observer(g: Nfa, attack: AttackSpec) -> AttackObserver:
     The intruder declines, (A,k) -N-> (S,kN), or attacks while k < budget,
     (A,k) -Y-> (AY,kY); a result keeps the attacked part (1) or the rest (0)
     when that part is nonempty, (AY,kY) -r-> (S,k+1); a plant event moves a
-    system state to the nonempty image, (S,kN) or (S,k) -e-> (A,k). Each mask,
-    counter value and graph state becomes exactly one object, so lookups in
-    the graph's dictionaries match by identity.
+    system state to the nonempty image, (S,kN) or (S,k) -e-> (A,k). Nodes are
+    numbered in the order the worklist meets them, so the initial node is 0.
     """
     attack.validate_for(g)
     order = sorted(g.states, key=_natural_key)
@@ -173,97 +299,82 @@ def build_attack_observer(g: Nfa, attack: AttackSpec) -> AttackObserver:
     successors = {event: [0] * len(order) for event in events}
     for src, event, dst in g.transitions:
         successors[event][index[src]] |= 1 << index[dst]
-    images: dict = {event: {} for event in events}
+    tables = [successors[event] for event in events]
     attacked = sum(1 << index[state] for state in attack.attacked)
     budget = attack.budget
+    images: dict = {}  # mask -> its image under each event, in ``events`` order
 
-    def image(event: str, mask: int) -> int:
-        memo = images[event]
-        out = memo.get(mask)
-        if out is None:
-            table, out = successors[event], 0
-            for i in _bits(mask):
-                out |= table[i]
-            memo[mask] = out
-        return out
-
-    counters: dict = {}
-    estimates: dict = {}
-    nodes: dict = {}
-    queue: deque = deque()
-
-    def node(phase: str, count: int, tag: str, mask: int) -> AObsState:
-        key = (phase, count, tag, mask)
-        state = nodes.get(key)
-        if state is None:
-            counter = counters.get((count, tag))
-            if counter is None:
-                counter = counters[(count, tag)] = GameCounter(count, tag)
-            estimate = estimates.get(mask)
-            if estimate is None:
-                estimate = estimates[mask] = StateEstimate(tuple(order[i] for i in _bits(mask)))
-            state = nodes[key] = AObsState(phase, counter, estimate)
-            queue.append((phase, count, mask, state))
-        return state
-
-    initial = node(PHASE_DECIDE, 0, "", sum(1 << index[state] for state in g.initial))
-    transitions: dict = {}
-    enabled: dict = {}
-    label_sets: dict = {}
-    while queue:
-        phase, count, mask, state = queue.popleft()
+    nodes: list = [(PHASE_DECIDE, 0, "", sum(1 << index[state] for state in g.initial))]
+    ids: dict = {nodes[0]: 0}
+    labels: list = []
+    targets: list = []
+    label_tuples: dict = {}
+    for phase, count, _tag, mask in nodes:  # the worklist: nodes grows while it is walked
         if phase == PHASE_DECIDE:
-            moves = [(ATTACK_NO, PHASE_SYSTEM, count, "N", mask)]
+            moves = [(ATTACK_NO, (PHASE_SYSTEM, count, "N", mask))]
             if count < budget:
-                moves.append((ATTACK_YES, PHASE_AWAIT, count, "Y", mask))
+                moves.append((ATTACK_YES, (PHASE_AWAIT, count, "Y", mask)))
         elif phase == PHASE_AWAIT:
             moves = [
-                (RESULT_IN, PHASE_SYSTEM, count + 1, "", mask & attacked),
-                (RESULT_OUT, PHASE_SYSTEM, count + 1, "", mask & ~attacked),
+                (RESULT_IN, (PHASE_SYSTEM, count + 1, "", mask & attacked)),
+                (RESULT_OUT, (PHASE_SYSTEM, count + 1, "", mask & ~attacked)),
             ]
         else:
-            moves = [(event, PHASE_DECIDE, count, "", image(event, mask)) for event in events]
-        labels = []
-        for label, phase_to, count_to, tag, part in moves:
-            if part:  # an empty estimate: no transition
-                transitions[(state, label)] = node(phase_to, count_to, tag, part)
-                labels.append(label)
-        if labels:
-            key = tuple(labels)
-            enabled[state] = label_sets.setdefault(key, frozenset(key))
+            image = images.get(mask)
+            if image is None:
+                image = images[mask] = [0] * len(events)
+                for b in _bits(mask):
+                    for e, table in enumerate(tables):
+                        image[e] |= table[b]
+            moves = [(event, (PHASE_DECIDE, count, "", part)) for event, part in zip(events, image)]
+        out_labels = []
+        out_targets = []
+        for label, key in moves:
+            if key[3]:  # an empty estimate: no transition
+                j = ids.get(key)
+                if j is None:
+                    j = ids[key] = len(nodes)
+                    nodes.append(key)
+                out_labels.append(label)
+                out_targets.append(j)
+        key = tuple(out_labels)
+        labels.append(label_tuples.setdefault(key, key))
+        targets.append(tuple(out_targets))
     alphabet = g.events | {ATTACK_YES, ATTACK_NO, RESULT_IN, RESULT_OUT}
-    return AttackObserver(g, attack, nodes.values(), alphabet, transitions, enabled, initial)
+    return AttackObserver(g, attack, alphabet, order, nodes, labels, targets)
 
 
-def attractor(aobs: AttackObserver, targets: Iterable[AObsState], need: Mapping) -> dict:
-    """Least set of states from which play can be forced into ``targets``,
-    as ``{state: rank}``.
+def attractor(graph: AttackObserver, targets: Iterable[int], need: list) -> dict:
+    """Least set of nodes from which play can be forced into ``targets``, as
+    ``{id: rank}``.
 
-    Targets have rank 0. A state with a count in ``need`` joins once that
+    Targets have rank 0. A node ``i`` with ``need[i] > 0`` joins once that
     many of its outgoing transitions lead inside, one rank above the last of
-    them; a state without a count joins only as a target. A count of 1 is a
-    move of the forcing player, a count of all outgoing transitions one of
-    its opponent. Linear in the size of the graph.
+    them; a node with ``need[i] == 0`` joins only as a target. A count of 1
+    is a move of the forcing player, a count of all outgoing transitions one
+    of its opponent. Linear in the size of the graph.
     """
     ranks = dict.fromkeys(targets, 0)
-    missing = dict(need)
-    queue = deque(ranks)
-    while queue:
-        state = queue.popleft()
-        rank = ranks[state] + 1
-        for pred, _label in aobs.predecessors(state):
-            if pred in ranks or pred not in missing:
-                continue
-            missing[pred] -= 1
-            if missing[pred] == 0:
-                ranks[pred] = rank
-                queue.append(pred)
+    missing = list(need)
+    for i in ranks:
+        missing[i] = 0
+    preds = graph.preds
+    queue = list(ranks)
+    for j in queue:  # grows while it is walked: breadth first, so by rank
+        rank = ranks[j] + 1
+        for i in preds[j]:
+            left = missing[i]
+            if left:
+                missing[i] = left - 1
+                if left == 1:
+                    ranks[i] = rank
+                    queue.append(i)
     return ranks
 
 
 def enabled_in_aobs(aobs: AttackObserver, state: AObsState) -> frozenset:
     """Labels with a defined outgoing transition at ``state`` in the full
     attack observer."""
-    if state not in aobs.states:
+    if aobs.id_of(state) is None:
         raise ValueError(f"{state} is not an attack-observer state")
     return aobs.enabled(state)

@@ -4,6 +4,7 @@ subset-construction observer, synchronous composition, and the classic
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -16,8 +17,10 @@ Label = str
 _EMPTY: frozenset = frozenset()
 
 
+@functools.lru_cache(maxsize=4096, typed=True)
 def _natural_key(value) -> tuple:
-    """Sort key ordering digit runs numerically, so "2" sorts before "10"."""
+    """Sort key ordering digit runs numerically, so "2" sorts before "10".
+    Memoised: every estimate made sorts its members with it."""
     text = value if isinstance(value, str) else str(value)
     key = tuple(
         (0, int(part), "") if part.isdigit() else (1, 0, part)

@@ -4,7 +4,8 @@ calls that prints one deterministic JSON report to stdout.
 Exit codes: 0 when the analysis ran (whatever the verdict), 1 only when
 --fail-on-violation is set and the checked property is violated/enforced,
 2 on malformed input, 3 when the synthesized strategy does not cover a
-reachable play.
+reachable play, 4 on any other error. Errors are reported as one
+``error: ...`` line on stderr, never as a traceback.
 """
 
 from __future__ import annotations
@@ -135,6 +136,12 @@ def _rank_value(value):
     return "inf" if math.isinf(value) else value
 
 
+def _forceable(rank) -> bool | None:
+    """Whether the intruder can force a violation in finitely many rounds
+    (a finite initial rank), or None when it cannot even hold one."""
+    return None if rank is None else not math.isinf(rank)
+
+
 def _emit(report: dict, args, artifact: str | None = None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False)
     if args.out:
@@ -161,6 +168,9 @@ def main(argv=None) -> int:
     except StrategyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # last resort: one line, not a traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def _dispatch(args) -> int:
@@ -229,6 +239,7 @@ def _dispatch(args) -> int:
             "mode": attack.mode,
             "verdict": verdict,
             "final_verifier_states": len(fv.states),
+            "forceable": _forceable(rank_initial),
             "rank_initial": _rank_value(rank_initial),
         }
         artifact = export_dot(fv, "final_verifier") if args.format == "dot" else None
@@ -238,9 +249,11 @@ def _dispatch(args) -> int:
     if command == "synthesize":
         strategy, fv = _strategy_for(model, attack, args)
         if strategy is None:
-            _emit({"command": command, "enforced": False, "strategy_states": 0}, args)
+            report = {"command": command, "enforced": False, "forceable": None, "strategy_states": 0}
+            _emit(report, args)
             return 0
         validation = validate_strategy(strategy, fv.parent, attack)
+        rank_initial = strategy.ranks.get(strategy.initial)
         report = {
             "command": command,
             "enforced": True,
@@ -249,7 +262,8 @@ def _dispatch(args) -> int:
             "strategy_edges": strategy.n_edges,
             "sound": validation.sound,
             "max_rounds": validation.max_rounds,
-            "rank_initial": _rank_value(strategy.ranks.get(strategy.initial)),
+            "forceable": _forceable(rank_initial),
+            "rank_initial": _rank_value(rank_initial),
             "edges": [
                 {"from": str(src), "input": event, "output": output, "to": str(dst)}
                 for src, event, output, dst in strategy.edge_list()

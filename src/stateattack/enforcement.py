@@ -4,8 +4,8 @@ yields the final verifier, and the enforcement verdict."""
 
 from __future__ import annotations
 
-from .aobs import AObsState, AttackObserver, StateType, attractor, classify
-from .attackmodel import ATTACK_NO, ATTACK_YES, AttackSpec, RESULT_LABELS
+from .aobs import AObsState, AttackObserver, attractor
+from .attackmodel import ATTACK_NO, ATTACK_YES, PHASE_DECIDE, PHASE_SYSTEM, RESULT_LABELS, AttackSpec
 from .automata import Nfa
 from .violation import check_violation
 
@@ -65,18 +65,18 @@ def final_verifier(v: AttackObserver, aobs: AttackObserver, strict_paper: bool =
     from a result-wait state by any result, or never with ``strict_paper``;
     a decision state expels the intruder when all of its decisions do.
     """
-    need: dict = {}
-    for state in v.states:
-        kind = classify(state)
-        if kind is StateType.TYPE_III:
-            need[state] = len(aobs.enabled(state))
-        elif kind is StateType.TYPE_I or not strict_paper:
-            need[state] = 1
-    expelled = attractor(aobs, aobs.states - v.states, need)
-    held = v.states.difference(expelled)
-    if len(held) == len(v.states):
+    need = [0] * len(v.kept)
+    for i in v.ids:
+        phase = v.phase[i]
+        if phase == PHASE_DECIDE:
+            need[i] = len(aobs.kept_targets(i))
+        elif phase == PHASE_SYSTEM or not strict_paper:
+            need[i] = 1
+    expelled = attractor(aobs, [i for i in aobs.ids if not v.kept[i]], need)
+    held = [i for i in v.ids if i not in expelled]
+    if len(held) == len(v.ids):
         return v
-    return aobs.restrict(held)
+    return aobs.restrict_ids(held)
 
 
 def check_enforced(

@@ -10,10 +10,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .aobs import AObsState, AttackObserver, StateType, attractor, classify
-from .attackmodel import ATTACK_NO, ATTACK_YES, EPSILON, AttackSpec, RESULT_LABELS
+from .aobs import AObsState, AttackObserver, attractor
+from .attackmodel import ATTACK_NO, ATTACK_YES, EPSILON, PHASE_DECIDE, RESULT_LABELS, AttackSpec
 from .automata import Nfa, StateEstimate
-from .violation import is_violating, violation_predicate
+from .violation import violating_ids, violation_predicate
 
 RANKED = "ranked"
 FIRST_VALID = "first-valid"
@@ -31,13 +31,11 @@ def compute_ranks(fv: AttackObserver, attack: AttackSpec) -> dict:
     violating estimate: violating system-move states are at 0, decision
     states take the best decision, everything else the worst successor.
     States from which a violation cannot be forced get an infinite rank."""
-    targets = [s for s in fv.states if is_violating(s, attack)]
-    need = {
-        s: 1 if classify(s) is StateType.TYPE_III else len(fv.enabled(s))
-        for s in fv.states
-    }
-    ranks = attractor(fv.parent, targets, need)
-    return {state: ranks.get(state, INFINITE_RANK) for state in fv.states}
+    need = [0] * len(fv.kept)
+    for i in fv.ids:
+        need[i] = 1 if fv.phase[i] == PHASE_DECIDE else len(fv.kept_targets(i))
+    ranks = attractor(fv.parent, violating_ids(fv, attack), need)
+    return {fv.state_of(i): ranks.get(i, INFINITE_RANK) for i in fv.ids}
 
 
 @dataclass

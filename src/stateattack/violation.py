@@ -4,11 +4,10 @@ stays reachable, and the verifier built from it."""
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable
 
-from .aobs import AObsState, AttackObserver, StateType, attractor, build_attack_observer, classify
-from .attackmodel import AttackSpec
+from .aobs import AObsState, AttackObserver, attractor, build_attack_observer
+from .attackmodel import PHASE_AWAIT, PHASE_SYSTEM, AttackSpec
 from .automata import Nfa, StateEstimate
 
 
@@ -23,22 +22,32 @@ def violation_predicate(estimate: StateEstimate, attack: AttackSpec) -> bool:
     return estimate.issubset(attack.secret)
 
 
-def is_violating(state: AObsState, attack: AttackSpec) -> bool:
-    """A system-move state whose estimate satisfies the violating predicate."""
-    return classify(state) is StateType.TYPE_I and violation_predicate(state.estimate, attack)
+def violating_ids(graph: AttackObserver, attack: AttackSpec) -> list:
+    """The kept system-move nodes whose estimate satisfies the violating
+    predicate: one set bit (``m & (m - 1) == 0``) in anonymity mode, no bit
+    outside the secret set (``m & ~secret == 0``) in opacity mode."""
+    phase, mask = graph.phase, graph.mask
+    system = [i for i in graph.ids if phase[i] == PHASE_SYSTEM]
+    if attack.secret is None:
+        return [i for i in system if not mask[i] & (mask[i] - 1)]
+    outside = ~graph.mask_of(attack.secret)
+    return [i for i in system if not mask[i] & outside]
+
+
+def violating_closure(aobs: AttackObserver, attack: AttackSpec) -> dict:
+    """The intruder's attractor to the violating system-move nodes, as
+    ``{id: rank}``: a result-wait node needs every defined result inside,
+    any other node one transition."""
+    need = [0] * len(aobs.kept)
+    for i in aobs.ids:
+        need[i] = len(aobs.kept_targets(i)) if aobs.phase[i] == PHASE_AWAIT else 1
+    return attractor(aobs, violating_ids(aobs, attack), need)
 
 
 def intermediate_violating_fixpoint(aobs: AttackObserver, attack: AttackSpec) -> frozenset:
     """Least set of attack-observer states from which the intruder can still
-    steer the play to a violating estimate: the attractor of the violating
-    system-move states, where a result-wait state needs every defined result
-    inside and any other state one transition."""
-    targets = [s for s in aobs.states if is_violating(s, attack)]
-    need = {
-        s: len(aobs.enabled(s)) if classify(s) is StateType.TYPE_II else 1
-        for s in aobs.states
-    }
-    return frozenset(attractor(aobs, targets, need))
+    steer the play to a violating estimate."""
+    return frozenset(map(aobs.state_of, violating_closure(aobs, attack)))
 
 
 def build_verifier(aobs: AttackObserver, violating_reachable: Iterable[AObsState]) -> AttackObserver:
@@ -48,20 +57,24 @@ def build_verifier(aobs: AttackObserver, violating_reachable: Iterable[AObsState
 
 def witness_labels(verifier: AttackObserver, attack: AttackSpec) -> list | None:
     """Shortest label sequence in the verifier from its initial state to a
-    violating estimate, or None when the verifier is empty."""
+    violating estimate, the least in label order among the shortest, or None
+    when the verifier is empty."""
     if verifier.is_empty:
         return None
-    seen = {verifier.initial}
-    frontier: deque = deque([(verifier.initial, [])])
-    while frontier:
-        state, path = frontier.popleft()
-        if is_violating(state, attack):
-            return path
-        for label in sorted(verifier.enabled(state)):
-            target = verifier.step(state, label)
-            if target not in seen:
-                seen.add(target)
-                frontier.append((target, path + [label]))
+    violating = set(violating_ids(verifier, attack))
+    came_from = {verifier.initial_id: None}  # id -> (previous id, label)
+    queue = [verifier.initial_id]
+    for i in queue:  # grows while it is walked: breadth first
+        if i in violating:
+            path = []
+            while came_from[i] is not None:
+                i, label = came_from[i]
+                path.append(label)
+            return path[::-1]
+        for label, j in sorted(verifier.kept_targets(i)):
+            if j not in came_from:
+                came_from[j] = (i, label)
+                queue.append(j)
     return None
 
 
@@ -70,6 +83,5 @@ def check_violation(g: Nfa, attack: AttackSpec) -> tuple[bool, AttackObserver]:
     violating estimates, and restrict. The verdict is the nonemptiness of the
     resulting verifier."""
     aobs = build_attack_observer(g, attack)
-    reachable = intermediate_violating_fixpoint(aobs, attack)
-    verifier = build_verifier(aobs, reachable)
+    verifier = aobs.restrict_ids(violating_closure(aobs, attack))
     return (not verifier.is_empty, verifier)

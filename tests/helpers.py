@@ -7,7 +7,7 @@ import random
 from stateattack import AttackSpec, Nfa
 from stateattack.aobs import AObsState, AttackObserver
 from stateattack.attackmodel import GameCounter, bounded_game_structure, system_attack_model
-from stateattack.automata import StateEstimate, compose, enabled_index, observer
+from stateattack.automata import StateEstimate, _natural_key, compose, observer
 
 TEN_STATE_TRANSITIONS = [
     ("1", "a", "2"), ("1", "a", "3"), ("1", "d", "6"), ("1", "d", "9"),
@@ -81,23 +81,28 @@ def corpus(count: int = 220, seed: int = MASTER_SEED) -> list:
 def composed_attack_observer(g: Nfa, attack: AttackSpec) -> AttackObserver:
     """The attack observer as the paper constructs it: the bounded turn
     structure composed with the observer of the attacked plant, with the pair
-    states flattened into (phase, counter, estimate) triples."""
+    states flattened into the builder's (phase, count, tag, mask) nodes."""
     attack.validate_for(g)
     attacked_plant = system_attack_model(g, attack.attacked)
     estimator = observer(attacked_plant)
     game = bounded_game_structure(g.events, attack.budget)
     composed = compose(game, estimator)
 
-    def flatten(pair) -> AObsState:
-        (phase, counter), estimate = pair
-        return AObsState(phase, counter, estimate)
+    order = sorted(g.states, key=_natural_key)
+    bit = {state: b for b, state in enumerate(order)}
 
-    states = {flatten(s) for s in composed.states}
-    transitions = {
-        (flatten(src), label): flatten(dst)
-        for (src, label), dst in composed.transitions.items()
-    }
+    def flatten(pair) -> tuple:
+        """The (phase, count, tag, mask) key of a composed pair state."""
+        (phase, counter), estimate = pair
+        return phase, counter.count, counter.tag, sum(1 << bit[s] for s in estimate)
+
+    nodes = [flatten(s) for s in composed.states]
+    ids = {node: i for i, node in enumerate(nodes)}
+    outgoing: list = [[] for _ in nodes]
+    for (src, label), dst in composed.transitions.items():
+        outgoing[ids[flatten(src)]].append((label, ids[flatten(dst)]))
+    labels = [tuple(label for label, _ in edges) for edges in outgoing]
+    targets = [tuple(dst for _, dst in edges) for edges in outgoing]
     return AttackObserver(
-        g, attack, states, composed.events, transitions, enabled_index(transitions),
-        flatten(composed.initial),
+        g, attack, composed.events, order, nodes, labels, targets, ids[flatten(composed.initial)],
     )

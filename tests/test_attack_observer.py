@@ -18,16 +18,22 @@ from helpers import (
 )
 
 from stateattack import (
+    AObsState,
     AttackSpec,
+    GameCounter,
     Nfa,
     StateType,
+    StateEstimate,
     build_attack_observer,
+    check_enforced,
+    check_violation,
     classify,
     enabled_in_aobs,
     filtered_estimate,
     intermediate_violating_fixpoint,
     parse_model,
     parse_spec,
+    witness_labels,
 )
 from stateattack.automata import enabled_index
 from stateattack.oracle import AttackRound, AttackTrace
@@ -160,6 +166,42 @@ def test_attack_observer_fixture_40_state_edges(aobs_2489):
     assert expected <= edges
     # {1,10} has no attacked member, so result 1 is undefined there
     assert aobs_2489.step(aob("AY", "0Y", "1,10"), "1") is None
+
+
+def test_verdicts_make_no_state_objects_until_asked(plant, attack_2489, monkeypatch):
+    made = []
+    for cls in (AObsState, GameCounter, StateEstimate):
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            made.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    violated, verifier = check_violation(plant, attack_2489)
+    enforced, fv = check_enforced(plant, attack_2489)
+    assert violated and enforced and witness_labels(verifier, attack_2489)
+    assert made == []
+    initial = fv.initial
+    assert made.count("AObsState") == 1
+    assert len(fv.states) == 27 and made.count("AObsState") == 27  # once per node
+    assert fv.initial is initial is fv.parent.initial
+    assert fv.labels is fv.parent.labels and fv.targets is fv.parent.targets
+
+
+def test_restrictions_keep_each_id_once(instances):
+    for plant, attack in instances[:60]:
+        for graph in (check_violation(plant, attack)[1], check_enforced(plant, attack)[1]):
+            assert len(graph.ids) == len(set(graph.ids)) == len(graph.states)
+            assert graph.kept.count(1) == len(graph.ids)
+
+
+def test_predecessors_invert_the_transitions(aobs_24, attack_24):
+    verifier = check_violation(aobs_24.plant, attack_24)[1]
+    for graph in (aobs_24, verifier):
+        expected: dict = {}
+        for (src, label), dst in graph.transitions.items():
+            expected.setdefault(dst, set()).add((src, label))
+        for state in graph.states:
+            assert set(graph.predecessors(state)) == expected.get(state, set())
 
 
 def test_classify_by_phase():

@@ -235,3 +235,38 @@ def test_committed_samples_end_to_end(capsys, attack_file, violated, enforced):
         assert code == simulate_code
         if code == 3:
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["check-enforced", "synthesize"])
+def test_forceable_with_finite_rank(capsys, command):
+    model, spec = str(SAMPLES / "model.json"), str(SAMPLES / "attack-wide.json")
+    report = json.loads(run(capsys, command, "--model", model, "--spec", spec)[1])
+    assert report["forceable"] is True
+    assert report["rank_initial"] == 6
+
+
+@pytest.mark.parametrize("command", ["check-enforced", "synthesize"])
+def test_forceable_false_when_only_held(capsys, command):
+    model, spec = str(SAMPLES / "model.json"), str(SAMPLES / "attack-opacity.json")
+    report = json.loads(run(capsys, command, "--model", model, "--spec", spec, "--strict-paper")[1])
+    assert report.get("verdict", report.get("enforced")) is True
+    assert report["forceable"] is False
+    assert report["rank_initial"] == "inf"
+
+
+@pytest.mark.parametrize("command", ["check-enforced", "synthesize"])
+def test_forceable_null_when_not_enforced(capsys, model_path, spec_path, command):
+    report = json.loads(run(capsys, command, "--model", model_path, "--spec", spec_path)[1])
+    assert report["forceable"] is None
+
+
+def test_unexpected_error_is_one_line_exit_4(capsys, monkeypatch, model_path, spec_path):
+    def broken(*_args):
+        raise RuntimeError("internal breach")
+
+    monkeypatch.setattr("stateattack.cli.check_violation", broken)
+    code = main(["check-violation", "--model", model_path, "--spec", spec_path])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "error: RuntimeError: internal breach\n"

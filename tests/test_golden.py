@@ -5,8 +5,8 @@ Each case is one ``main()`` call on ``samples/model.json`` with one of the
 three sample specs, with and without ``--strict-paper``. A run that exits 0
 is held to ``<case>.json`` (or ``.dot``), its standard output; any other run
 to ``<case>.exit<code>``, its standard error. To rewrite the files after an
-intended change of the reports, run ``python tests/test_golden.py`` from the
-repository root and review the diff.
+intended change of the reports, run ``PYTHONPATH=src python
+tests/test_golden.py`` from the repository root and review the diff.
 """
 
 import io
