@@ -81,7 +81,8 @@ def corpus(count: int = 220, seed: int = MASTER_SEED) -> list:
 def composed_attack_observer(g: Nfa, attack: AttackSpec) -> AttackObserver:
     """The attack observer as the paper constructs it: the bounded turn
     structure composed with the observer of the attacked plant, with the pair
-    states flattened into the builder's (phase, count, tag, mask) nodes."""
+    states flattened into the (phase, count, tag, mask) node keys that
+    ``build_attack_observer`` uses."""
     attack.validate_for(g)
     attacked_plant = system_attack_model(g, attack.attacked)
     estimator = observer(attacked_plant)
