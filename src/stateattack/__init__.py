@@ -71,6 +71,7 @@ from .strategy import (
     StrategyError,
     StrategyReport,
     compute_ranks,
+    rank_ids,
     simulate_play,
     synthesize_strategy,
     validate_strategy,

@@ -31,10 +31,11 @@ from .serialize import (
 from .strategy import (
     Adversarial,
     FIRST_VALID,
+    INFINITE_RANK,
     RANKED,
     RandomSeeded,
     StrategyError,
-    compute_ranks,
+    rank_ids,
     simulate_play,
     synthesize_strategy,
     validate_strategy,
@@ -232,8 +233,7 @@ def _dispatch(args) -> int:
         verdict, fv = check_enforced(model, attack, args.strict_paper)
         rank_initial = None
         if verdict:
-            ranks = compute_ranks(fv, attack)
-            rank_initial = ranks[fv.initial]
+            rank_initial = rank_ids(fv, attack).get(fv.initial_id, INFINITE_RANK)
         report = {
             "command": command,
             "mode": attack.mode,

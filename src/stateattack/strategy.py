@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -26,15 +25,21 @@ class StrategyError(RuntimeError):
     synthesized from does not cover a reachable situation."""
 
 
-def compute_ranks(fv: AttackObserver, attack: AttackSpec) -> dict:
-    """Worst-case distance (in kept transitions) from each kept state to a
-    violating estimate: violating system-move states are at 0, decision
-    states take the best decision, everything else the worst successor.
-    States from which a violation cannot be forced get an infinite rank."""
+def rank_ids(fv: AttackObserver, attack: AttackSpec) -> dict:
+    """Worst-case distance (in kept transitions) from each kept node to a
+    violating estimate, as ``{id: rank}``: violating system-move nodes are at
+    0, decision nodes take the best decision, everything else the worst
+    successor. Nodes from which a violation cannot be forced are left out."""
     need = [0] * len(fv.kept)
     for i in fv.ids:
         need[i] = 1 if fv.phase[i] == PHASE_DECIDE else len(fv.kept_targets(i))
-    ranks = attractor(fv.parent, violating_ids(fv, attack), need)
+    return attractor(fv.parent, violating_ids(fv, attack), need)
+
+
+def compute_ranks(fv: AttackObserver, attack: AttackSpec) -> dict:
+    """``rank_ids`` over every kept state, as ``{AObsState: rank}``, with an
+    infinite rank where a violation cannot be forced."""
+    ranks = rank_ids(fv, attack)
     return {fv.state_of(i): ranks.get(i, INFINITE_RANK) for i in fv.ids}
 
 
@@ -42,7 +47,8 @@ def compute_ranks(fv: AttackObserver, attack: AttackSpec) -> dict:
 class MealyStrategy:
     """Intruder policy: states are system-move states of the final verifier
     plus its initial decision state; each edge maps an observed event to an
-    attack output, branching only on the attack result."""
+    attack output, branching only on the attack result. A violating state
+    ends the play and has no edges. ``ranks`` maps each state to its rank."""
 
     initial: AObsState
     states: frozenset
@@ -82,81 +88,86 @@ class MealyStrategy:
 
 
 def _choose_decision(
-    fv: AttackObserver,
-    ranks: Mapping,
-    policy: str,
-    reference: AObsState,
-    turn_state: AObsState,
-) -> str:
-    """Pick the attack decision at a decision state reached from
-    ``reference``. Ranked policy declines when that already makes progress,
-    otherwise takes the decision with the best worst-case successor,
-    preferring to conserve budget on ties."""
-    candidates: list = []
-    no_target = fv.step(turn_state, ATTACK_NO)
-    if no_target is not None:
-        candidates.append((ATTACK_NO, no_target))
-    yes_target = fv.step(turn_state, ATTACK_YES)
-    if yes_target is not None:
-        candidates.append((ATTACK_YES, yes_target))
+    fv: AttackObserver, ranks: dict, policy: str, reference: int, turn: int | None
+) -> tuple:
+    """Pick the attack decision at the decision node ``turn`` reached from
+    ``reference``, as (decision, the id it leads to). Ranked policy declines
+    when that already makes progress, otherwise takes the decision with the
+    best worst-case successor, preferring to conserve budget on ties."""
+    candidates = [] if turn is None else [
+        (decision, j)
+        for decision in (ATTACK_NO, ATTACK_YES)
+        if (j := fv.target(turn, decision)) is not None
+    ]
     if not candidates:
-        raise StrategyError(f"no decision keeps the intruder inside the region at {turn_state}")
+        where = "a node outside it" if turn is None else fv.state_of(turn)
+        raise StrategyError(f"no decision keeps the intruder inside the region at {where}")
     if policy == FIRST_VALID:
-        return candidates[0][0]
-    here = ranks.get(reference, INFINITE_RANK)
-    if no_target is not None and ranks.get(no_target, INFINITE_RANK) < here:
-        return ATTACK_NO
-    best = min(
-        candidates,
-        key=lambda cand: (ranks.get(cand[1], INFINITE_RANK), 0 if cand[0] == ATTACK_NO else 1),
-    )
-    return best[0]
+        return candidates[0]
+
+    def rank(i: int) -> float:
+        return ranks.get(i, INFINITE_RANK)
+
+    decision, j = candidates[0]
+    if decision == ATTACK_NO and rank(j) < rank(reference):
+        return candidates[0]
+    return min(candidates, key=lambda cand: (rank(cand[1]), cand[0] != ATTACK_NO))
 
 
 def synthesize_strategy(
     fv: AttackObserver, aobs: AttackObserver, policy: str = RANKED
 ) -> MealyStrategy:
-    """Walk the final verifier from its initial state, fixing one attack
-    decision per (state, observed event) and recording the resulting
-    system-move states as the strategy states."""
+    """Walk the final verifier from its initial node, fixing one attack
+    decision per (node, observed event) and recording the system-move nodes
+    it leads to as the strategy states. A violating node ends every play that
+    reaches it, so it is a strategy state without edges of its own.
+
+    The walk runs on node ids. ``aobs`` is the attack observer ``fv``
+    restricts, or another build of it (builds number their nodes alike); it
+    gives the events the system can play. ``AObsState`` objects are made for
+    the strategy states only, and ``ranks`` covers only them."""
     if fv.is_empty:
         raise ValueError("cannot synthesize a strategy from an empty final verifier")
     if policy not in (RANKED, FIRST_VALID):
         raise ValueError(f"unknown policy {policy!r}")
     attack = aobs.attack
-    ranks = compute_ranks(fv, attack)
-    initial = fv.initial
+    ranks = rank_ids(fv, attack)
+    initial = fv.initial_id
     states = {initial}
-    edges: dict = {}
+    queue: list = []  # the strategy states to expand: not violating
+    edges: dict = {}  # (id, event) -> ((output, target id), ...)
 
-    def add_edges(source: AObsState, event: str, turn_state: AObsState) -> list:
-        decision = _choose_decision(fv, ranks, policy, source, turn_state)
+    def add_edges(source: int, event: str, turn: int | None) -> None:
+        decision, j = _choose_decision(fv, ranks, policy, source, turn)
         if decision == ATTACK_NO:
-            target = fv.step(turn_state, ATTACK_NO)
-            edges[(source, event)] = ((ATTACK_NO, target),)
-            return [target]
-        pending = fv.step(turn_state, ATTACK_YES)
-        outputs = []
-        for result in RESULT_LABELS:
-            target = fv.step(pending, result)
-            if target is not None:
-                outputs.append((ATTACK_YES + result, target))
-        edges[(source, event)] = tuple(outputs)
-        return [target for _, target in outputs]
+            outputs = ((ATTACK_NO, j),)
+        else:
+            results = ((result, fv.target(j, result)) for result in RESULT_LABELS)
+            outputs = tuple((ATTACK_YES + result, k) for result, k in results if k is not None)
+        edges[source, event] = outputs
+        for _, k in outputs:
+            if k not in states:
+                states.add(k)
+                if ranks.get(k) != 0:  # rank 0 only at violating nodes
+                    queue.append(k)
 
-    queue: deque = deque()
-    for target in add_edges(initial, EPSILON, initial):
-        if target not in states:
-            states.add(target)
-            queue.append(target)
-    while queue:
-        state = queue.popleft()
-        for event in sorted(aobs.enabled(state)):
-            for target in add_edges(state, event, fv.step(state, event)):
-                if target not in states:
-                    states.add(target)
-                    queue.append(target)
-    return MealyStrategy(initial, frozenset(states), edges, attack, ranks, policy)
+    add_edges(initial, EPSILON, initial)
+    for i in queue:  # grows while it is walked: breadth first
+        for event in sorted(label for label, _ in aobs.kept_targets(i)):
+            add_edges(i, event, fv.target(i, event))
+
+    state = fv.state_of
+    return MealyStrategy(
+        state(initial),
+        frozenset(map(state, states)),
+        {
+            (state(i), event): tuple((output, state(k)) for output, k in outputs)
+            for (i, event), outputs in edges.items()
+        },
+        attack,
+        {state(i): ranks.get(i, INFINITE_RANK) for i in states},
+        policy,
+    )
 
 
 @dataclass(frozen=True)
@@ -281,6 +292,8 @@ def simulate_play(
     true plant state (tracked internally), attack results come from the true
     state's membership in the attacked set, and the play stops at the first
     violating estimate."""
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be at least 1")
     attack = strategy.attack
     rng = random.Random(system_policy.seed) if isinstance(system_policy, RandomSeeded) else None
 

@@ -1,13 +1,32 @@
 """Shared fixtures: the ten-state running example, compact constructors for
-attack-observer states, the deterministic random-instance corpus, and the
-paper's composed construction of the attack observer."""
+attack-observer states, the deterministic random-instance corpus, the
+paper's composed construction of the attack observer, and the strategy
+synthesis that walks on past the first violation."""
 
 import random
+from collections import deque
 
 from stateattack import AttackSpec, Nfa
-from stateattack.aobs import AObsState, AttackObserver
-from stateattack.attackmodel import GameCounter, bounded_game_structure, system_attack_model
+from stateattack.aobs import AObsState, AttackObserver, attractor
+from stateattack.attackmodel import (
+    ATTACK_NO,
+    ATTACK_YES,
+    EPSILON,
+    PHASE_DECIDE,
+    RESULT_LABELS,
+    GameCounter,
+    bounded_game_structure,
+    system_attack_model,
+)
 from stateattack.automata import StateEstimate, _natural_key, compose, observer
+from stateattack.strategy import (
+    FIRST_VALID,
+    INFINITE_RANK,
+    RANKED,
+    MealyStrategy,
+    StrategyError,
+)
+from stateattack.violation import violating_ids
 
 TEN_STATE_TRANSITIONS = [
     ("1", "a", "2"), ("1", "a", "3"), ("1", "d", "6"), ("1", "d", "9"),
@@ -107,3 +126,75 @@ def composed_attack_observer(g: Nfa, attack: AttackSpec) -> AttackObserver:
     return AttackObserver(
         g, attack, composed.events, order, nodes, labels, targets, ids[flatten(composed.initial)],
     )
+
+
+def full_ranks(fv: AttackObserver, attack: AttackSpec) -> dict:
+    """The ranks of every kept state, as ``{AObsState: rank}``."""
+    need = [0] * len(fv.kept)
+    for i in fv.ids:
+        need[i] = 1 if fv.phase[i] == PHASE_DECIDE else len(fv.kept_targets(i))
+    ranks = attractor(fv.parent, violating_ids(fv, attack), need)
+    return {fv.state_of(i): ranks.get(i, INFINITE_RANK) for i in fv.ids}
+
+
+def _full_decision(fv, ranks, policy, reference, turn_state) -> str:
+    """The attack decision at ``turn_state``, reached from ``reference``."""
+    candidates: list = []
+    no_target = fv.step(turn_state, ATTACK_NO)
+    if no_target is not None:
+        candidates.append((ATTACK_NO, no_target))
+    yes_target = fv.step(turn_state, ATTACK_YES)
+    if yes_target is not None:
+        candidates.append((ATTACK_YES, yes_target))
+    if not candidates:
+        raise StrategyError(f"no decision keeps the intruder inside the region at {turn_state}")
+    if policy == FIRST_VALID:
+        return candidates[0][0]
+    here = ranks.get(reference, INFINITE_RANK)
+    if no_target is not None and ranks.get(no_target, INFINITE_RANK) < here:
+        return ATTACK_NO
+    best = min(
+        candidates,
+        key=lambda cand: (ranks.get(cand[1], INFINITE_RANK), 0 if cand[0] == ATTACK_NO else 1),
+    )
+    return best[0]
+
+
+def full_strategy(fv: AttackObserver, aobs: AttackObserver, policy: str = RANKED) -> MealyStrategy:
+    """The strategy over every final-verifier state a decision leads to,
+    violating or not, keyed on ``AObsState`` objects: the reference
+    ``synthesize_strategy`` is checked against, up to the first violation."""
+    attack = aobs.attack
+    ranks = full_ranks(fv, attack)
+    initial = fv.initial
+    states = {initial}
+    edges: dict = {}
+
+    def add_edges(source: AObsState, event: str, turn_state: AObsState) -> list:
+        decision = _full_decision(fv, ranks, policy, source, turn_state)
+        if decision == ATTACK_NO:
+            target = fv.step(turn_state, ATTACK_NO)
+            edges[(source, event)] = ((ATTACK_NO, target),)
+            return [target]
+        pending = fv.step(turn_state, ATTACK_YES)
+        outputs = []
+        for result in RESULT_LABELS:
+            target = fv.step(pending, result)
+            if target is not None:
+                outputs.append((ATTACK_YES + result, target))
+        edges[(source, event)] = tuple(outputs)
+        return [target for _, target in outputs]
+
+    queue: deque = deque()
+    for target in add_edges(initial, EPSILON, initial):
+        if target not in states:
+            states.add(target)
+            queue.append(target)
+    while queue:
+        state = queue.popleft()
+        for event in sorted(aobs.enabled(state)):
+            for target in add_edges(state, event, fv.step(state, event)):
+                if target not in states:
+                    states.add(target)
+                    queue.append(target)
+    return MealyStrategy(initial, frozenset(states), edges, attack, ranks, policy)

@@ -138,6 +138,18 @@ def test_simulate_report(capsys, model_path):
     assert report["rounds"][0]["event"] == "ε"
 
 
+@pytest.mark.parametrize("rounds", ["0", "-3"])
+def test_simulate_without_rounds_exits_2(capsys, model_path, rounds):
+    code = main([
+        "simulate", "--model", model_path, "--attacked", "2,4,8,9", "--budget", "1",
+        "--max-rounds", rounds,
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: max_rounds must be at least 1\n"
+
+
 def test_oracle_report(capsys, model_path, spec_path):
     code, out = run(capsys, "oracle", "--model", model_path, "--spec", spec_path)
     report = json.loads(out)

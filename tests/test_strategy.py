@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import aob
+from helpers import aob, full_strategy
 
 from stateattack import (
     Adversarial,
@@ -25,7 +25,7 @@ from stateattack import (
     synthesize_strategy,
     validate_strategy,
 )
-from stateattack.aobs import StateType, classify
+from stateattack.aobs import AObsState, StateType, classify
 from stateattack.attackmodel import EPSILON
 from stateattack.violation import violation_predicate
 
@@ -130,13 +130,97 @@ EXPECTED_RANKED_EDGES = {
 }
 
 
+def rows_before_violation(rows: set, initial: str) -> tuple:
+    """(states, rows) a play meets from ``initial`` up to its first violating
+    state, a system-move state with a singleton estimate: the states reached,
+    and the rows leaving a state that is not violating."""
+    def violating(state: str) -> bool:
+        return state.startswith("(S,") and "," not in state[state.index("{"):]
+
+    states, expanded = {initial}, [initial]
+    for source in expanded:  # grows while it is walked
+        for src, _event, _output, dst in sorted(rows):
+            if src == source and dst not in states:
+                states.add(dst)
+                if not violating(dst):
+                    expanded.append(dst)
+    return states, {row for row in rows if row[0] in expanded}
+
+
 def test_ranked_strategy_edges_fixture(ranked_2489):
+    # EXPECTED_RANKED_EDGES is the strategy walked past every violation;
+    # synthesis stops at the first one.
+    states, expected = rows_before_violation(EXPECTED_RANKED_EDGES, "(A,0,{1,10})")
+    assert len(expected) == 9
     rows = {
         (str(src), event, output, str(dst))
         for src, event, output, dst in ranked_2489.edge_list()
     }
-    assert rows == EXPECTED_RANKED_EDGES
-    assert len(ranked_2489.states) == 12
+    assert rows == expected
+    assert {str(state) for state in ranked_2489.states} == states
+    assert len(ranked_2489.states) == 8
+
+
+def before_violation(strategy: MealyStrategy, attack: AttackSpec) -> dict:
+    """The edges of ``strategy`` whose source a play reaches from the
+    initial state without passing a violating state."""
+    expanded = [strategy.initial]
+    for state in expanded:  # grows while it is walked
+        for (src, _event), outputs in strategy.edges.items():
+            if src != state:
+                continue
+            for _output, dst in outputs:
+                if dst not in expanded and not violation_predicate(dst.estimate, attack):
+                    expanded.append(dst)
+    return {key: outputs for key, outputs in strategy.edges.items() if key[0] in expanded}
+
+
+def plays(plant, strategy) -> list:
+    """The plays under seeds 0-2 and the adversarial system, or the error
+    that ended one."""
+    out = []
+    for policy in [RandomSeeded(seed) for seed in range(3)] + [Adversarial()]:
+        try:
+            out.append(simulate_play(plant, strategy, policy, 60))
+        except StrategyError as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_synthesis_equals_the_full_walk_up_to_the_first_violation(instances):
+    compared = 0
+    for plant, attack in instances:
+        for strict in (False, True):
+            enforced, fv = check_enforced(plant, attack, strict)
+            if not enforced:
+                continue
+            for policy in ("ranked", "first-valid"):
+                strategy = synthesize_strategy(fv, fv.parent, policy)
+                full = full_strategy(fv, fv.parent, policy)
+                assert strategy.edges == before_violation(full, attack)
+                assert strategy.initial == full.initial
+                assert strategy.ranks[strategy.initial] == full.ranks[full.initial]
+                assert strategy.ranks == {state: full.ranks[state] for state in strategy.states}
+                assert (validate_strategy(strategy, fv.parent, attack)
+                        == validate_strategy(full, fv.parent, attack))
+                assert plays(plant, strategy) == plays(plant, full)
+                compared += 1
+    assert compared > 400
+
+
+def test_synthesis_makes_objects_only_for_strategy_states(plant, attack_2489, monkeypatch):
+    made = []
+
+    def counting(self, *args, _init=AObsState.__init__, **kwargs):
+        made.append(self)
+        _init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AObsState, "__init__", counting)
+    _, fv = check_enforced(plant, attack_2489)
+    strategy = synthesize_strategy(fv, fv.parent)
+    assert len(made) == len(strategy.states) == 8
+    assert set(made) == strategy.states
+    assert set(strategy.ranks) == strategy.states
 
 
 def test_strategy_decision_and_successor_lookup(ranked_2489):
@@ -194,6 +278,20 @@ def test_synthesize_rejects_empty_final_verifier(plant, attack_24):
     fv = final_verifier(verifier, verifier.parent)
     with pytest.raises(ValueError):
         synthesize_strategy(fv, verifier.parent)
+
+
+def test_synthesis_from_an_unpruned_verifier_reports_the_escape(instances):
+    # A verifier still holds states the system can leave, so some walks meet
+    # an event that leads out of it.
+    escapes = 0
+    for plant, attack in instances:
+        violated, verifier = check_violation(plant, attack)
+        if violated:
+            try:
+                synthesize_strategy(verifier, verifier.parent)
+            except StrategyError:
+                escapes += 1
+    assert escapes > 0
 
 
 def test_synthesize_rejects_unknown_policy(fv_2489, aobs_2489):
@@ -343,3 +441,9 @@ def test_simulation_reports_missing_edge(plant, ranked_2489):
     )
     with pytest.raises(StrategyError):
         simulate_play(plant, broken, Adversarial(), 20)
+
+
+@pytest.mark.parametrize("max_rounds", [0, -3])
+def test_simulation_needs_a_round(plant, ranked_2489, max_rounds):
+    with pytest.raises(ValueError, match="max_rounds must be at least 1"):
+        simulate_play(plant, ranked_2489, Adversarial(), max_rounds)
