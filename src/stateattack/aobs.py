@@ -75,8 +75,8 @@ class AttackObserver:
     algorithms run on these lists. ``AObsState`` objects, with their
     ``GameCounter`` and ``StateEstimate``, are made only when a caller asks
     for the state-level view (``states``, ``transitions``, ``initial``,
-    ``step``, ``enabled``, ``predecessors``, ``run``), once per node, so
-    equal states are the same object.
+    ``step``, ``predecessors``, ``run``), once per node, so equal states are
+    the same object. Looking a state up (``id_of``, ``enabled``) makes none.
 
     A restriction to part of the nodes (``restrict``, ``restrict_ids``) is
     again an ``AttackObserver`` over the same lists: it keeps the ids in
@@ -101,6 +101,7 @@ class AttackObserver:
         self.attack = attack
         self.events = frozenset(events)
         self.order = order
+        self._bit = {state: b for b, state in enumerate(order)}  # plant state -> its mask bit
         self.phase, self.count, self.tag, self.mask = zip(*nodes)
         self.labels = labels
         self.targets = targets
@@ -111,7 +112,7 @@ class AttackObserver:
         self._enabled: dict = {}  # id -> frozenset of its kept labels, filled on lookup
         # Shared with every restriction, so a node has one object everywhere.
         self._objects: list = [None] * len(nodes)  # id -> AObsState, made on demand
-        self._index: dict = {}  # AObsState -> id, filled on first lookup
+        self._index: dict = {}  # (phase, count, tag, mask) -> id, filled on first lookup
         self._counters: dict = {}  # (count, tag) -> its one GameCounter
         self._estimates: dict = {}  # mask -> its one StateEstimate
         self._label_sets: dict = {}  # label tuple -> its one frozenset
@@ -141,7 +142,7 @@ class AttackObserver:
 
     def mask_of(self, states: Iterable[str]) -> int:
         """The estimate mask of a set of plant states."""
-        bit = {state: b for b, state in enumerate(self.order)}
+        bit = self._bit
         return sum(1 << bit[state] for state in states)
 
     def kept_targets(self, i: int) -> list:
@@ -196,16 +197,28 @@ class AttackObserver:
                 counter = self._counters[(count, tag)] = GameCounter(count, tag)
             estimate = self._estimates.get(mask)
             if estimate is None:
-                members = tuple(self.order[b] for b in _bits(mask))
-                estimate = self._estimates[mask] = StateEstimate(members)
+                estimate = self._estimates[mask] = StateEstimate(self.members_of(i))
             state = self._objects[i] = AObsState(self.phase[i], counter, estimate)
         return state
 
+    def members_of(self, i: int) -> tuple:
+        """The plant states of node ``i``'s estimate, in natural order."""
+        order = self.order
+        return tuple(order[b] for b in _bits(self.mask[i]))
+
     def id_of(self, state: AObsState) -> int | None:
-        """The id of ``state`` in this graph, or None when it is not here."""
-        if not self._index:
-            self._index.update((self.state_of(i), i) for i in range(len(self.kept)))
-        i = self._index.get(state)
+        """The id of ``state`` in this graph, or None when it is not here.
+        The lookup goes through the node's (phase, count, tag, mask) key, so
+        it makes no ``AObsState`` objects."""
+        index = self._index
+        if not index:
+            index.update((key, i) for i, key in enumerate(zip(self.phase, self.count, self.tag, self.mask)))
+        counter = state.counter
+        try:
+            key = (state.phase, counter.count, counter.tag, self.mask_of(state.estimate))
+        except KeyError:  # an estimate member that is no plant state
+            return None
+        i = index.get(key)
         return i if i is not None and self.kept[i] else None
 
     @functools.cached_property

@@ -27,6 +27,7 @@ from .serialize import (
     parse_model,
     parse_spec,
     serialize_strategy,
+    strategy_edge_rows,
 )
 from .strategy import (
     Adversarial,
@@ -253,21 +254,19 @@ def _dispatch(args) -> int:
             _emit(report, args)
             return 0
         validation = validate_strategy(strategy, fv.parent, attack)
-        rank_initial = strategy.ranks.get(strategy.initial)
+        rank_initial = strategy.id_ranks.get(strategy.initial_id)
+        names = strategy.names()
         report = {
             "command": command,
             "enforced": True,
             "policy": strategy.policy,
-            "strategy_states": len(strategy.states),
+            "strategy_states": len(strategy.ids),
             "strategy_edges": strategy.n_edges,
             "sound": validation.sound,
             "max_rounds": validation.max_rounds,
             "forceable": _forceable(rank_initial),
             "rank_initial": _rank_value(rank_initial),
-            "edges": [
-                {"from": str(src), "input": event, "output": output, "to": str(dst)}
-                for src, event, output, dst in strategy.edge_list()
-            ],
+            "edges": strategy_edge_rows(strategy, names),
         }
         artifact = (
             export_dot(strategy, "strategy") if args.format == "dot" else serialize_strategy(strategy)

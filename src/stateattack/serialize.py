@@ -52,6 +52,7 @@ def parse_model(text: str) -> Nfa:
     if reserved:
         raise InputError(f"reserved label: events {reserved!r} are reserved for the attack game")
     state_set = set(states)
+    event_set = set(events)
     for name in initial:
         if name not in state_set:
             raise InputError(f"unknown identifier: initial state {name!r} is not declared")
@@ -66,7 +67,7 @@ def parse_model(text: str) -> Nfa:
         src, event, dst = row
         if src not in state_set or dst not in state_set:
             raise InputError(f"unknown identifier: transition endpoint in {row!r} is not declared")
-        if event not in set(events):
+        if event not in event_set:
             raise InputError(f"unknown identifier: transition event in {row!r} is not declared")
         transitions.append((src, event, dst))
     return Nfa(states, events, transitions, initial)
@@ -134,14 +135,20 @@ def serialize_spec(attack: AttackSpec) -> str:
     return json.dumps(document, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
 
 
+def strategy_edge_rows(strategy: MealyStrategy, names: dict) -> list:
+    """The strategy's edges as JSON rows, named by ``strategy.names()``."""
+    return [
+        {"from": names[i], "input": event, "output": output, "to": names[k]}
+        for i, event, output, k in strategy.id_edge_list(names)
+    ]
+
+
 def serialize_strategy(strategy: MealyStrategy) -> str:
+    names = strategy.names()
     document = {
-        "initial": str(strategy.initial),
-        "states": [str(s) for s in sorted(strategy.states)],
-        "edges": [
-            {"from": str(src), "input": event, "output": output, "to": str(dst)}
-            for src, event, output, dst in strategy.edge_list()
-        ],
+        "initial": names[strategy.initial_id],
+        "states": list(names.values()),
+        "edges": strategy_edge_rows(strategy, names),
         "policy": strategy.policy,
         "budget": strategy.attack.budget,
     }
@@ -209,14 +216,15 @@ def _graph_dot(name: str, graph, states: list) -> str:
 
 def _strategy_dot(strategy: MealyStrategy, name: str) -> str:
     lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=box style=filled fillcolor=white];"]
-    for state in sorted(strategy.states):
-        attrs = [f"fillcolor={_TYPE_FILL[classify(state)]}"]
-        if state == strategy.initial:
+    names = strategy.names()
+    for i, name in names.items():
+        attrs = [f"fillcolor={_TYPE_FILL[classify(strategy.graph.state_of(i))]}"]
+        if i == strategy.initial_id:
             attrs.append("peripheries=2")
-        lines.append(f"  {_quote(str(state))} [{' '.join(attrs)}];")
-    for src, event, output, dst in strategy.edge_list():
+        lines.append(f"  {_quote(name)} [{' '.join(attrs)}];")
+    for i, event, output, k in strategy.id_edge_list(names):
         lines.append(
-            f"  {_quote(str(src))} -> {_quote(str(dst))} [label={_quote(f'{event}/{output}')}];"
+            f"  {_quote(names[i])} -> {_quote(names[k])} [label={_quote(f'{event}/{output}')}];"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

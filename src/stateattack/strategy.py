@@ -4,15 +4,16 @@ tree, and play simulation against system policies."""
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .aobs import AObsState, AttackObserver, attractor
 from .attackmodel import ATTACK_NO, ATTACK_YES, EPSILON, PHASE_DECIDE, RESULT_LABELS, AttackSpec
 from .automata import Nfa, StateEstimate
-from .violation import violating_ids, violation_predicate
+from .violation import mask_violates, violating_ids
 
 RANKED = "ranked"
 FIRST_VALID = "first-valid"
@@ -45,17 +46,45 @@ def compute_ranks(fv: AttackObserver, attack: AttackSpec) -> dict:
 
 @dataclass
 class MealyStrategy:
-    """Intruder policy: states are system-move states of the final verifier
-    plus its initial decision state; each edge maps an observed event to an
-    attack output, branching only on the attack result. A violating state
-    ends the play and has no edges. ``ranks`` maps each state to its rank."""
+    """Intruder policy on the node ids of the final verifier ``graph``: its
+    states ``ids`` are system-move nodes plus the initial decision node
+    ``initial_id``. ``id_edges`` maps (id, observed event) to
+    ((output, target id), ...): one attack output per event, branching only
+    on the attack result. A violating state ends the play and has no edges.
+    ``id_ranks`` maps each state to its rank.
 
-    initial: AObsState
-    states: frozenset
-    edges: dict
+    The state-level names (``initial``, ``states``, ``edges``, ``ranks``,
+    ``outputs``, ``decision``, ``successor``, ``edge_list``) speak in
+    ``AObsState`` objects: views made on first request and cached."""
+
+    graph: AttackObserver
+    initial_id: int
+    ids: frozenset
+    id_edges: dict
     attack: AttackSpec
-    ranks: Mapping = field(default_factory=dict)
+    id_ranks: Mapping = field(default_factory=dict)
     policy: str = RANKED
+
+    @functools.cached_property
+    def initial(self) -> AObsState:
+        return self.graph.state_of(self.initial_id)
+
+    @functools.cached_property
+    def states(self) -> frozenset:
+        return frozenset(map(self.graph.state_of, self.ids))
+
+    @functools.cached_property
+    def edges(self) -> dict:
+        state = self.graph.state_of
+        return {
+            (state(i), event): tuple((output, state(k)) for output, k in outputs)
+            for (i, event), outputs in self.id_edges.items()
+        }
+
+    @functools.cached_property
+    def ranks(self) -> dict:
+        state = self.graph.state_of
+        return {state(i): rank for i, rank in self.id_ranks.items()}
 
     def outputs(self, state: AObsState, event: str) -> tuple:
         return self.edges.get((state, event), ())
@@ -67,24 +96,44 @@ class MealyStrategy:
         return ATTACK_NO if outputs[0][0] == ATTACK_NO else ATTACK_YES
 
     def successor(self, state: AObsState, event: str, result: str | None = None) -> AObsState | None:
-        wanted = ATTACK_NO if result is None else ATTACK_YES + result
-        for output, target in self.outputs(state, event):
-            if output == wanted:
-                return target
-        return None
+        return _follow(self.outputs(state, event), ATTACK_NO if result is None else ATTACK_YES + result)
+
+    def names(self) -> dict:
+        """``{id: str(state)}`` over the strategy's states, in ``AObsState``
+        order, (phase, count, tag, estimate members), made from the node
+        columns without ``AObsState`` objects."""
+        graph = self.graph
+        phase, count, tag = graph.phase, graph.count, graph.tag
+        keys = sorted((phase[i], count[i], tag[i], graph.members_of(i), i) for i in self.ids)
+        return {i: f"({p},{c}{t},{{{','.join(map(str, members))}}})" for p, c, t, members, i in keys}
+
+    def id_edge_list(self, names: dict) -> list:
+        """(id, input, output, target id) rows ordered by the source's name
+        in ``names`` (see ``names``), the input and the output."""
+        rows = [
+            (i, event, output, k)
+            for (i, event), outputs in self.id_edges.items()
+            for output, k in outputs
+        ]
+        return sorted(rows, key=lambda row: (names[row[0]], row[1], row[2]))
 
     def edge_list(self) -> list:
         """Deterministically ordered (state, input, output, target) rows."""
-        rows = [
-            (src, event, output, target)
-            for (src, event), outputs in self.edges.items()
-            for output, target in outputs
-        ]
-        return sorted(rows, key=lambda row: (str(row[0]), row[1], row[2]))
+        state = self.graph.state_of
+        return [(state(i), event, output, state(k)) for i, event, output, k in self.id_edge_list(self.names())]
 
     @property
     def n_edges(self) -> int:
-        return sum(len(outputs) for outputs in self.edges.values())
+        return sum(len(outputs) for outputs in self.id_edges.values())
+
+
+def _follow(outputs: tuple, wanted: str):
+    """The target of the first of an edge's ``outputs`` that is ``wanted``,
+    or None."""
+    for output, target in outputs:
+        if output == wanted:
+            return target
+    return None
 
 
 def _choose_decision(
@@ -122,10 +171,10 @@ def synthesize_strategy(
     it leads to as the strategy states. A violating node ends every play that
     reaches it, so it is a strategy state without edges of its own.
 
-    The walk runs on node ids. ``aobs`` is the attack observer ``fv``
-    restricts, or another build of it (builds number their nodes alike); it
-    gives the events the system can play. ``AObsState`` objects are made for
-    the strategy states only, and ``ranks`` covers only them."""
+    The walk runs on node ids and makes no ``AObsState`` objects. ``aobs`` is
+    the attack observer ``fv`` restricts, or another build of it (builds
+    number their nodes alike); it gives the events the system can play. The
+    ranks cover only the strategy states."""
     if fv.is_empty:
         raise ValueError("cannot synthesize a strategy from an empty final verifier")
     if policy not in (RANKED, FIRST_VALID):
@@ -156,17 +205,9 @@ def synthesize_strategy(
         for event in sorted(label for label, _ in aobs.kept_targets(i)):
             add_edges(i, event, fv.target(i, event))
 
-    state = fv.state_of
     return MealyStrategy(
-        state(initial),
-        frozenset(map(state, states)),
-        {
-            (state(i), event): tuple((output, state(k)) for output, k in outputs)
-            for (i, event), outputs in edges.items()
-        },
-        attack,
-        {state(i): ranks.get(i, INFINITE_RANK) for i in states},
-        policy,
+        fv, initial, frozenset(states), edges, attack,
+        {i: ranks.get(i, INFINITE_RANK) for i in states}, policy,
     )
 
 
@@ -184,39 +225,45 @@ def validate_strategy(
     """Exhaustively unfold the play tree (all system events enabled at each
     estimate, all attack results the attack observer defines) and check that
     every maximal play reaches a violating estimate. The attack budget is
-    inherent in the strategy states, whose counters never exceed it."""
-    if not strategy.states or not strategy.edges:
-        raise ValueError("cannot validate an empty strategy")
+    inherent in the strategy states, whose counters never exceed it.
 
-    def edge_moves(source: AObsState, event: str, turn_state: AObsState):
+    The unfolding runs on node ids: ``aobs`` is the full attack observer the
+    strategy's graph restricts, or another build of it."""
+    edges = strategy.id_edges
+    if not strategy.ids or not edges:
+        raise ValueError("cannot validate an empty strategy")
+    violates, mask = mask_violates(aobs, attack), aobs.mask
+
+    def edge_moves(source: int, event: str, turn: int):
         """(step, target) pairs of the edge for ``event`` at ``source``, decided
-        at ``turn_state``: an attack is followed by every result the strategy
-        lists or the attack observer defines, without a target when not listed."""
-        if strategy.decision(source, event) == ATTACK_NO:
-            yield (event, ATTACK_NO, None), strategy.successor(source, event)
+        at ``turn``: an attack is followed by every result the strategy lists
+        or the attack observer defines, without a target when not listed."""
+        outputs = edges[source, event]
+        if outputs[0][0] == ATTACK_NO:
+            yield (event, ATTACK_NO, None), _follow(outputs, ATTACK_NO)
             return
-        pending = aobs.step(turn_state, ATTACK_YES)
+        pending = aobs.target(turn, ATTACK_YES)
         for result in RESULT_LABELS:
-            target = strategy.successor(source, event, result)
-            if target is not None or aobs.step(pending, result) is not None:
+            target = _follow(outputs, ATTACK_YES + result)
+            if target is not None or (pending is not None and aobs.target(pending, result) is not None):
                 yield (event, ATTACK_YES, result), target
 
-    def moves(state: AObsState):
+    def moves(state: int):
         """(step, target) pairs below a system-move state in exploration
         order; a step without a target is a move the strategy has no edge for."""
-        for event in sorted(aobs.enabled(state)):
-            if not strategy.outputs(state, event):
+        for event, turn in sorted(aobs.kept_targets(state)):
+            if not edges.get((state, event)):
                 yield (event, None, None), None
                 return
-            yield from edge_moves(state, event, aobs.step(state, event))
+            yield from edge_moves(state, event, turn)
 
-    if not strategy.outputs(strategy.initial, EPSILON):
+    initial = strategy.initial_id
+    if not edges.get((initial, EPSILON)):
         return StrategyReport(False, None, (), "no initial decision")
     # Depth-first over an explicit stack of [state, pending moves, worst rounds
     # below]; the bottom frame stands for the initial decision. ``prefix``
     # holds the steps from the initial decision to the move being tried.
-    root = edge_moves(strategy.initial, EPSILON, strategy.initial)
-    stack: list = [[None, root, 0]]
+    stack: list = [[None, edge_moves(initial, EPSILON, initial), 0]]
     prefix: list = []
     memo: dict = {}  # state -> max rounds to violation
     on_path: set = set()
@@ -235,7 +282,7 @@ def validate_strategy(
             if target is None:
                 missing = "enabled event" if step[1] is None else "attack result"
                 return StrategyReport(False, None, tuple(prefix), f"no edge for {missing}")
-            if violation_predicate(target.estimate, attack):
+            if violates(mask[target]):
                 below = 0
             elif target in memo:
                 below = memo[target]
@@ -259,8 +306,10 @@ class Adversarial:
     pass
 
 
-@dataclass(frozen=True)
-class PlayRound:
+class PlayRound(NamedTuple):
+    """One round of a play. A named tuple, not a frozen dataclass: a play
+    makes one per round, and a tuple is much cheaper to make."""
+
     event: str
     decision: str
     result: str | None
@@ -294,48 +343,53 @@ def simulate_play(
     violating estimate."""
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
-    attack = strategy.attack
+    graph, edges, ranks = strategy.graph, strategy.id_edges, strategy.id_ranks
+    violates, mask = mask_violates(graph, strategy.attack), graph.mask
+    attacked = strategy.attack.attacked
     rng = random.Random(system_policy.seed) if isinstance(system_policy, RandomSeeded) else None
 
-    def advance(state: AObsState, event: str, true_state) -> tuple:
+    def advance(state: int, event: str, true_state) -> tuple:
         """Resolve one round at ``state``: the strategy's decision for
         ``event``, the result induced by the true plant state, and the next
         strategy state."""
-        decision = strategy.decision(state, event)
-        if decision is None:
-            raise StrategyError(f"strategy has no edge for event {event!r} at {state}")
-        if decision == ATTACK_NO:
-            return ATTACK_NO, None, strategy.successor(state, event)
-        result = "1" if true_state in attack.attacked else "0"
-        target = strategy.successor(state, event, result)
+        outputs = edges.get((state, event))
+        if not outputs:
+            raise StrategyError(f"strategy has no edge for event {event!r} at {graph.state_of(state)}")
+        if outputs[0][0] == ATTACK_NO:
+            return ATTACK_NO, None, _follow(outputs, ATTACK_NO)
+        result = "1" if true_state in attacked else "0"
+        target = _follow(outputs, ATTACK_YES + result)
         if target is None:
-            raise StrategyError(f"strategy misses result {result!r} for event {event!r} at {state}")
+            raise StrategyError(
+                f"strategy misses result {result!r} for event {event!r} at {graph.state_of(state)}"
+            )
         return ATTACK_YES, result, target
 
-    def score(state: AObsState, event: str, true_state) -> float:
-        return strategy.ranks.get(advance(state, event, true_state)[2], INFINITE_RANK)
+    def score(state: int, event: str, true_state) -> float:
+        return ranks.get(advance(state, event, true_state)[2], INFINITE_RANK)
 
+    initial = strategy.initial_id
     initial_candidates = sorted(g.initial, key=str)
     if rng is not None:
         true_state = rng.choice(initial_candidates)
     else:
-        true_state = max(
-            initial_candidates,
-            key=lambda cand: score(strategy.initial, EPSILON, cand),
-        )
+        true_state = max(initial_candidates, key=lambda cand: score(initial, EPSILON, cand))
 
     rounds: list = []
-    decision, result, current = advance(strategy.initial, EPSILON, true_state)
-    rounds.append(PlayRound(EPSILON, decision, result, current.estimate, true_state))
+    plant_moves: dict = {}  # plant state -> its (event, successor) moves, in play order
+    decision, result, current = advance(initial, EPSILON, true_state)
+    rounds.append(PlayRound(EPSILON, decision, result, graph.state_of(current).estimate, true_state))
 
     while len(rounds) < max_rounds:
-        if violation_predicate(current.estimate, attack):
+        if violates(mask[current]):
             return PlayTrace(tuple(rounds), "violated")
-        moves = [
-            (event, target)
-            for event in sorted(g.enabled(true_state))
-            for target in sorted(g.successors(true_state, event), key=str)
-        ]
+        moves = plant_moves.get(true_state)
+        if moves is None:
+            moves = plant_moves[true_state] = [
+                (event, target)
+                for event in sorted(g.enabled(true_state))
+                for target in sorted(g.successors(true_state, event), key=str)
+            ]
         if not moves:
             return PlayTrace(tuple(rounds), "stalled")
         if rng is not None:
@@ -343,7 +397,7 @@ def simulate_play(
         else:
             event, true_state = max(moves, key=lambda mv: score(current, mv[0], mv[1]))
         decision, result, current = advance(current, event, true_state)
-        rounds.append(PlayRound(event, decision, result, current.estimate, true_state))
-    if violation_predicate(current.estimate, attack):
+        rounds.append(PlayRound(event, decision, result, graph.state_of(current).estimate, true_state))
+    if violates(mask[current]):
         return PlayTrace(tuple(rounds), "violated")
     return PlayTrace(tuple(rounds), "exhausted")

@@ -4,7 +4,7 @@ stays reachable, and the verifier built from it."""
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .aobs import AObsState, AttackObserver, attractor, build_attack_observer
 from .attackmodel import PHASE_AWAIT, PHASE_SYSTEM, AttackSpec
@@ -22,16 +22,21 @@ def violation_predicate(estimate: StateEstimate, attack: AttackSpec) -> bool:
     return estimate.issubset(attack.secret)
 
 
-def violating_ids(graph: AttackObserver, attack: AttackSpec) -> list:
-    """The kept system-move nodes whose estimate satisfies the violating
-    predicate: one set bit (``m & (m - 1) == 0``) in anonymity mode, no bit
-    outside the secret set (``m & ~secret == 0``) in opacity mode."""
-    phase, mask = graph.phase, graph.mask
-    system = [i for i in graph.ids if phase[i] == PHASE_SYSTEM]
+def mask_violates(graph: AttackObserver, attack: AttackSpec) -> Callable[[int], bool]:
+    """``violation_predicate`` as a test on the estimate masks of ``graph``:
+    one set bit (``m & (m - 1) == 0``) in anonymity mode, no bit outside the
+    secret set (``m & ~secret == 0``) in opacity mode."""
     if attack.secret is None:
-        return [i for i in system if not mask[i] & (mask[i] - 1)]
+        return lambda m: not m & (m - 1)
     outside = ~graph.mask_of(attack.secret)
-    return [i for i in system if not mask[i] & outside]
+    return lambda m: not m & outside
+
+
+def violating_ids(graph: AttackObserver, attack: AttackSpec) -> list:
+    """The kept system-move nodes whose estimate mask violates."""
+    phase, mask = graph.phase, graph.mask
+    violates = mask_violates(graph, attack)
+    return [i for i in graph.ids if phase[i] == PHASE_SYSTEM and violates(mask[i])]
 
 
 def violating_closure(aobs: AttackObserver, attack: AttackSpec) -> dict:

@@ -1,7 +1,8 @@
 """Shared fixtures: the ten-state running example, compact constructors for
 attack-observer states, the deterministic random-instance corpus, the
-paper's composed construction of the attack observer, and the strategy
-synthesis that walks on past the first violation."""
+paper's composed construction of the attack observer, the strategy
+synthesis that walks on past the first violation, and the state-keyed
+strategy validation and play simulation."""
 
 import random
 from collections import deque
@@ -24,9 +25,13 @@ from stateattack.strategy import (
     INFINITE_RANK,
     RANKED,
     MealyStrategy,
+    PlayRound,
+    PlayTrace,
+    RandomSeeded,
     StrategyError,
+    StrategyReport,
 )
-from stateattack.violation import violating_ids
+from stateattack.violation import violating_ids, violation_predicate
 
 TEN_STATE_TRANSITIONS = [
     ("1", "a", "2"), ("1", "a", "3"), ("1", "d", "6"), ("1", "d", "9"),
@@ -65,6 +70,18 @@ def ctr(text: str) -> GameCounter:
 
 def aob(phase: str, counter: str, members: str) -> AObsState:
     return AObsState(phase, ctr(counter), est(members))
+
+
+def chain_instance(length: int = 1200):
+    """Two ``length``-state chains told apart only at their ends, with no
+    attacks: the strategy is one long line, and every play is ``length + 1``
+    rounds deep."""
+    xs = [f"x{i}" for i in range(length)]
+    ys = [f"y{i}" for i in range(length)]
+    transitions = [(chain[i], "a", chain[i + 1]) for chain in (xs, ys) for i in range(length - 1)]
+    transitions += [(xs[-1], "b", xs[-1]), (ys[-1], "c", ys[-1])]
+    plant = Nfa(xs + ys, ["a", "b", "c"], transitions, [xs[0], ys[0]])
+    return plant, AttackSpec(frozenset(), 0)
 
 
 MASTER_SEED = 20260809
@@ -197,4 +214,125 @@ def full_strategy(fv: AttackObserver, aobs: AttackObserver, policy: str = RANKED
                 if target not in states:
                     states.add(target)
                     queue.append(target)
-    return MealyStrategy(initial, frozenset(states), edges, attack, ranks, policy)
+    i = fv.id_of
+    return MealyStrategy(
+        fv,
+        i(initial),
+        frozenset(map(i, states)),
+        {
+            (i(src), event): tuple((output, i(dst)) for output, dst in outputs)
+            for (src, event), outputs in edges.items()
+        },
+        attack,
+        {i(state): rank for state, rank in ranks.items()},
+        policy,
+    )
+
+
+def reference_validate(strategy: MealyStrategy, aobs: AttackObserver, attack: AttackSpec) -> StrategyReport:
+    """``validate_strategy`` on the state-level view: the play tree unfolded
+    over ``AObsState`` keys, with the violating predicate on estimates."""
+    if not strategy.states or not strategy.edges:
+        raise ValueError("cannot validate an empty strategy")
+
+    def edge_moves(source: AObsState, event: str, turn_state: AObsState):
+        if strategy.decision(source, event) == ATTACK_NO:
+            yield (event, ATTACK_NO, None), strategy.successor(source, event)
+            return
+        pending = aobs.step(turn_state, ATTACK_YES)
+        for result in RESULT_LABELS:
+            target = strategy.successor(source, event, result)
+            if target is not None or (pending is not None and aobs.step(pending, result) is not None):
+                yield (event, ATTACK_YES, result), target
+
+    def moves(state: AObsState):
+        for event in sorted(aobs.enabled(state)):
+            if not strategy.outputs(state, event):
+                yield (event, None, None), None
+                return
+            yield from edge_moves(state, event, aobs.step(state, event))
+
+    if not strategy.outputs(strategy.initial, EPSILON):
+        return StrategyReport(False, None, (), "no initial decision")
+    stack: list = [[None, edge_moves(strategy.initial, EPSILON, strategy.initial), 0]]
+    prefix: list = []
+    memo: dict = {}
+    on_path: set = set()
+    while True:
+        frame = stack[-1]
+        step, target = next(frame[1], (None, None))
+        if step is None:
+            state, _, worst = stack.pop()
+            if state is None:
+                return StrategyReport(True, worst, None, None)
+            on_path.discard(state)
+            memo[state] = below = worst
+            frame = stack[-1]
+        else:
+            prefix.append(step)
+            if target is None:
+                missing = "enabled event" if step[1] is None else "attack result"
+                return StrategyReport(False, None, tuple(prefix), f"no edge for {missing}")
+            if violation_predicate(target.estimate, attack):
+                below = 0
+            elif target in memo:
+                below = memo[target]
+            elif target in on_path:
+                return StrategyReport(False, None, tuple(prefix), "non-terminating play")
+            else:
+                on_path.add(target)
+                stack.append([target, moves(target), 0])
+                continue
+        prefix.pop()
+        frame[2] = max(frame[2], 1 + below)
+
+
+def reference_play(g: Nfa, strategy: MealyStrategy, system_policy, max_rounds: int = 1000) -> PlayTrace:
+    """``simulate_play`` on the state-level view: strategy states, ranks and
+    violation tests on ``AObsState`` objects, and the plant's moves sorted
+    afresh every round."""
+    attack = strategy.attack
+    rng = random.Random(system_policy.seed) if isinstance(system_policy, RandomSeeded) else None
+
+    def advance(state: AObsState, event: str, true_state) -> tuple:
+        decision = strategy.decision(state, event)
+        if decision is None:
+            raise StrategyError(f"strategy has no edge for event {event!r} at {state}")
+        if decision == ATTACK_NO:
+            return ATTACK_NO, None, strategy.successor(state, event)
+        result = "1" if true_state in attack.attacked else "0"
+        target = strategy.successor(state, event, result)
+        if target is None:
+            raise StrategyError(f"strategy misses result {result!r} for event {event!r} at {state}")
+        return ATTACK_YES, result, target
+
+    def score(state: AObsState, event: str, true_state) -> float:
+        return strategy.ranks.get(advance(state, event, true_state)[2], INFINITE_RANK)
+
+    initial_candidates = sorted(g.initial, key=str)
+    if rng is not None:
+        true_state = rng.choice(initial_candidates)
+    else:
+        true_state = max(initial_candidates, key=lambda cand: score(strategy.initial, EPSILON, cand))
+    rounds: list = []
+    decision, result, current = advance(strategy.initial, EPSILON, true_state)
+    rounds.append(PlayRound(EPSILON, decision, result, current.estimate, true_state))
+    while len(rounds) < max_rounds:
+        if violation_predicate(current.estimate, attack):
+            return PlayTrace(tuple(rounds), "violated")
+        moves = [
+            (event, target)
+            for event in sorted(g.enabled(true_state))
+            for target in sorted(g.successors(true_state, event), key=str)
+        ]
+        if not moves:
+            return PlayTrace(tuple(rounds), "stalled")
+        if rng is not None:
+            event, true_state = rng.choice(moves)
+        else:
+            event, true_state = max(moves, key=lambda mv: score(current, mv[0], mv[1]))
+        decision, result, current = advance(current, event, true_state)
+        rounds.append(PlayRound(event, decision, result, current.estimate, true_state))
+    if violation_predicate(current.estimate, attack):
+        return PlayTrace(tuple(rounds), "violated")
+    return PlayTrace(tuple(rounds), "exhausted")

@@ -187,6 +187,17 @@ def test_verdicts_make_no_state_objects_until_asked(plant, attack_2489, monkeypa
     assert fv.labels is fv.parent.labels and fv.targets is fv.parent.targets
 
 
+def test_lookups_make_no_state_objects(plant, attack_2489):
+    aobs = build_attack_observer(plant, attack_2489)
+    state = aob("S", "0N", "2,3")
+    assert aobs.id_of(state) is not None
+    assert aobs.id_of(aob("S", "0N", "2,99")) is None  # 99 is no plant state
+    assert aobs.enabled(state) == frozenset({"b", "c"})
+    assert not any(aobs._objects)
+    target = aobs.step(state, "b")  # makes the one object it returns
+    assert [made for made in aobs._objects if made is not None] == [target]
+
+
 def test_restrictions_keep_each_id_once(instances):
     for plant, attack in instances[:60]:
         for graph in (check_violation(plant, attack)[1], check_enforced(plant, attack)[1]):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import aob, full_strategy
+from helpers import aob, chain_instance, full_strategy, reference_play, reference_validate
 
 from stateattack import (
     Adversarial,
@@ -21,6 +21,7 @@ from stateattack import (
     final_verifier,
     parse_model,
     parse_spec,
+    serialize_strategy,
     simulate_play,
     synthesize_strategy,
     validate_strategy,
@@ -175,13 +176,13 @@ def before_violation(strategy: MealyStrategy, attack: AttackSpec) -> dict:
     return {key: outputs for key, outputs in strategy.edges.items() if key[0] in expanded}
 
 
-def plays(plant, strategy) -> list:
+def plays(plant, strategy, simulate=simulate_play, max_rounds=60) -> list:
     """The plays under seeds 0-2 and the adversarial system, or the error
     that ended one."""
     out = []
     for policy in [RandomSeeded(seed) for seed in range(3)] + [Adversarial()]:
         try:
-            out.append(simulate_play(plant, strategy, policy, 60))
+            out.append(simulate(plant, strategy, policy, max_rounds))
         except StrategyError as exc:
             out.append(str(exc))
     return out
@@ -216,11 +217,46 @@ def test_synthesis_makes_objects_only_for_strategy_states(plant, attack_2489, mo
         _init(self, *args, **kwargs)
 
     monkeypatch.setattr(AObsState, "__init__", counting)
-    _, fv = check_enforced(plant, attack_2489)
+    for g, attack, size in ((plant, attack_2489, 8), (*chain_instance(1200), 1203)):
+        made.clear()
+        _, fv = check_enforced(g, attack)
+        strategy = synthesize_strategy(fv, fv.parent)
+        assert validate_strategy(strategy, fv.parent, attack).sound
+        assert made == []
+        plays(g, strategy, max_rounds=len(fv.ids) + 1)
+        serialize_strategy(strategy)
+        assert len(made) <= len(strategy.ids) == size
+        assert set(made) <= strategy.states
+        assert set(strategy.ranks) == strategy.states
+
+
+def test_validation_and_plays_equal_the_state_keyed_reference(instances):
+    compared = 0
+    for plant, attack in instances:
+        for strict in (False, True):
+            enforced, fv = check_enforced(plant, attack, strict)
+            if not enforced:
+                continue
+            for policy in ("ranked", "first-valid"):
+                strategy = synthesize_strategy(fv, fv.parent, policy)
+                names = strategy.names()
+                assert list(names) == sorted(strategy.ids, key=fv.state_of)
+                assert names == {i: str(fv.state_of(i)) for i in strategy.ids}
+                assert (validate_strategy(strategy, fv.parent, attack)
+                        == reference_validate(strategy, fv.parent, attack))
+                assert plays(plant, strategy) == plays(plant, strategy, reference_play)
+                compared += 1
+    assert compared > 400
+
+
+def test_deep_chain_validation_and_plays_equal_the_state_keyed_reference():
+    g, attack = chain_instance(1200)
+    _, fv = check_enforced(g, attack)
     strategy = synthesize_strategy(fv, fv.parent)
-    assert len(made) == len(strategy.states) == 8
-    assert set(made) == strategy.states
-    assert set(strategy.ranks) == strategy.states
+    report = validate_strategy(strategy, fv.parent, attack)
+    assert (report.sound, report.max_rounds) == (True, 1201)
+    assert report == reference_validate(strategy, fv.parent, attack)
+    assert plays(g, strategy, max_rounds=1201) == plays(g, strategy, reference_play, 1201)
 
 
 def test_strategy_decision_and_successor_lookup(ranked_2489):
@@ -338,17 +374,18 @@ def test_first_valid_strategy_loops_forever(fv_2489, aobs_2489, attack_2489):
 
 def test_tampered_strategy_detected(ranked_2489, fv_2489, aobs_2489, attack_2489):
     # rewire b at {2,3} to decline forever into the {4,5} cycle
-    source = aob("S", "0N", "2,3")
-    hold = aob("S", "0N", "4,5")
-    edges = dict(ranked_2489.edges)
+    source = aobs_2489.id_of(aob("S", "0N", "2,3"))
+    hold = aobs_2489.id_of(aob("S", "0N", "4,5"))
+    edges = dict(ranked_2489.id_edges)
     edges[(source, "b")] = (("N", hold),)
     edges[(hold, "c")] = (("N", hold),)
     tampered = MealyStrategy(
-        ranked_2489.initial,
-        ranked_2489.states | {hold},
+        ranked_2489.graph,
+        ranked_2489.initial_id,
+        ranked_2489.ids | {hold},
         edges,
         ranked_2489.attack,
-        ranked_2489.ranks,
+        ranked_2489.id_ranks,
         ranked_2489.policy,
     )
     report = validate_strategy(tampered, aobs_2489, attack_2489)
@@ -357,7 +394,7 @@ def test_tampered_strategy_detected(ranked_2489, fv_2489, aobs_2489, attack_2489
 
 
 def test_validation_rejects_empty_strategy(aobs_2489, attack_2489):
-    empty = MealyStrategy(aobs_2489.initial, frozenset(), {}, attack_2489)
+    empty = MealyStrategy(aobs_2489, aobs_2489.initial_id, frozenset(), {}, attack_2489)
     with pytest.raises(ValueError):
         validate_strategy(empty, aobs_2489, attack_2489)
 
@@ -429,14 +466,15 @@ def test_known_initial_state_violates_at_round_zero():
 
 
 def test_simulation_reports_missing_edge(plant, ranked_2489):
-    edges = dict(ranked_2489.edges)
-    del edges[(aob("S", "0N", "1,10"), "d")]
+    edges = dict(ranked_2489.id_edges)
+    del edges[(ranked_2489.graph.id_of(aob("S", "0N", "1,10")), "d")]
     broken = MealyStrategy(
-        ranked_2489.initial,
-        ranked_2489.states,
+        ranked_2489.graph,
+        ranked_2489.initial_id,
+        ranked_2489.ids,
         edges,
         ranked_2489.attack,
-        ranked_2489.ranks,
+        ranked_2489.id_ranks,
         ranked_2489.policy,
     )
     with pytest.raises(StrategyError):
