@@ -53,7 +53,13 @@ class AObsState:
     estimate: StateEstimate
 
     def __str__(self) -> str:
-        return f"({self.phase},{self.counter},{self.estimate})"
+        counter = self.counter
+        return _state_text(self.phase, counter.count, counter.tag, self.estimate.members)
+
+
+def _state_text(phase: str, count: int, tag: str, members: tuple) -> str:
+    """The string of an ``AObsState``, from its fields or a node's columns."""
+    return f"({phase},{count}{tag},{{{','.join(map(str, members))}}})"
 
 
 def classify(state: AObsState) -> StateType:
@@ -205,6 +211,17 @@ class AttackObserver:
         """The plant states of node ``i``'s estimate, in natural order."""
         order = self.order
         return tuple(order[b] for b in _bits(self.mask[i]))
+
+    def sort_key(self, i: int) -> tuple:
+        """Node ``i``'s place in ``AObsState`` order: that order compares
+        (phase, (count, tag), (members,)), which sorts as this flat tuple."""
+        return self.phase[i], self.count[i], self.tag[i], self.members_of(i)
+
+    def names(self, ids: Iterable[int]) -> dict:
+        """``{id: str(state_of(id))}`` over ``ids`` in ``AObsState`` order,
+        made from the node columns without ``AObsState`` objects."""
+        keys = sorted((self.sort_key(i), i) for i in ids)
+        return {i: _state_text(*key) for key, i in keys}
 
     def id_of(self, state: AObsState) -> int | None:
         """The id of ``state`` in this graph, or None when it is not here.

@@ -217,11 +217,11 @@ def _graph_dot(name: str, graph, states: list) -> str:
 def _strategy_dot(strategy: MealyStrategy, name: str) -> str:
     lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=box style=filled fillcolor=white];"]
     names = strategy.names()
-    for i, name in names.items():
+    for i, label in names.items():
         attrs = [f"fillcolor={_TYPE_FILL[classify(strategy.graph.state_of(i))]}"]
         if i == strategy.initial_id:
             attrs.append("peripheries=2")
-        lines.append(f"  {_quote(name)} [{' '.join(attrs)}];")
+        lines.append(f"  {_quote(label)} [{' '.join(attrs)}];")
     for i, event, output, k in strategy.id_edge_list(names):
         lines.append(
             f"  {_quote(names[i])} -> {_quote(names[k])} [label={_quote(f'{event}/{output}')}];"

@@ -8,7 +8,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .aobs import AObsState, AttackObserver, attractor
 from .attackmodel import ATTACK_NO, ATTACK_YES, EPSILON, PHASE_DECIDE, RESULT_LABELS, AttackSpec
@@ -100,12 +100,8 @@ class MealyStrategy:
 
     def names(self) -> dict:
         """``{id: str(state)}`` over the strategy's states, in ``AObsState``
-        order, (phase, count, tag, estimate members), made from the node
-        columns without ``AObsState`` objects."""
-        graph = self.graph
-        phase, count, tag = graph.phase, graph.count, graph.tag
-        keys = sorted((phase[i], count[i], tag[i], graph.members_of(i), i) for i in self.ids)
-        return {i: f"({p},{c}{t},{{{','.join(map(str, members))}}})" for p, c, t, members, i in keys}
+        order, without ``AObsState`` objects (``AttackObserver.names``)."""
+        return self.graph.names(self.ids)
 
     def id_edge_list(self, names: dict) -> list:
         """(id, input, output, target id) rows ordered by the source's name
@@ -306,10 +302,8 @@ class Adversarial:
     pass
 
 
-class PlayRound(NamedTuple):
-    """One round of a play. A named tuple, not a frozen dataclass: a play
-    makes one per round, and a tuple is much cheaper to make."""
-
+@dataclass(frozen=True)
+class PlayRound:
     event: str
     decision: str
     result: str | None

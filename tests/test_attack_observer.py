@@ -198,6 +198,15 @@ def test_lookups_make_no_state_objects(plant, attack_2489):
     assert [made for made in aobs._objects if made is not None] == [target]
 
 
+def test_names_follow_the_state_objects(instances):
+    for plant, attack in instances[:60]:
+        aobs = build_attack_observer(plant, attack)
+        names = aobs.names(aobs.ids)
+        assert not any(aobs._objects)
+        assert list(names) == sorted(aobs.ids, key=aobs.state_of)
+        assert names == {i: str(aobs.state_of(i)) for i in aobs.ids}
+
+
 def test_restrictions_keep_each_id_once(instances):
     for plant, attack in instances[:60]:
         for graph in (check_violation(plant, attack)[1], check_enforced(plant, attack)[1]):
