@@ -99,6 +99,7 @@ class Nfa:
             succ.setdefault((src, label), set()).add(dst)
         self._succ = {key: frozenset(value) for key, value in succ.items()}
         self._enabled = enabled_index(self._succ)
+        self._moves: dict = {}  # state -> its moves (see ``moves``), filled on lookup
 
     def successors(self, state: State, label: Label) -> frozenset:
         return self._succ.get((state, label), _EMPTY)
@@ -111,6 +112,19 @@ class Nfa:
 
     def enabled(self, state: State) -> frozenset:
         return self._enabled.get(state, _EMPTY)
+
+    def moves(self, state: State) -> tuple:
+        """The (event, successor) pairs of ``state``: events in sorted order,
+        the successors of each by their strings. Memoised, since a play draws
+        from the moves of every true state it passes, often more than once."""
+        moves = self._moves.get(state)
+        if moves is None:
+            moves = self._moves[state] = tuple(
+                (event, target)
+                for event in sorted(self.enabled(state))
+                for target in sorted(self.successors(state, event), key=str)
+            )
+        return moves
 
     def __repr__(self) -> str:
         return (

@@ -370,20 +370,13 @@ def simulate_play(
         true_state = max(initial_candidates, key=lambda cand: score(initial, EPSILON, cand))
 
     rounds: list = []
-    plant_moves: dict = {}  # plant state -> its (event, successor) moves, in play order
     decision, result, current = advance(initial, EPSILON, true_state)
     rounds.append(PlayRound(EPSILON, decision, result, graph.state_of(current).estimate, true_state))
 
     while len(rounds) < max_rounds:
         if violates(mask[current]):
             return PlayTrace(tuple(rounds), "violated")
-        moves = plant_moves.get(true_state)
-        if moves is None:
-            moves = plant_moves[true_state] = [
-                (event, target)
-                for event in sorted(g.enabled(true_state))
-                for target in sorted(g.successors(true_state, event), key=str)
-            ]
+        moves = g.moves(true_state)
         if not moves:
             return PlayTrace(tuple(rounds), "stalled")
         if rng is not None:

@@ -147,6 +147,15 @@ def test_observer_single_state_no_transitions():
 
 @settings(max_examples=40, deadline=None)
 @given(small_nfas())
+def test_moves_list_the_raw_relation_in_play_order(g):
+    for state in sorted(g.states):
+        expected = sorted((e, t) for s, e, t in g.transitions if s == state)
+        assert list(g.moves(state)) == expected  # state names sort alike as strings
+        assert g.moves(state) is g.moves(state)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_nfas())
 def test_observer_sound_on_all_short_words(g):
     obs = observer(g)
     for length in range(0, 6):
