@@ -2,7 +2,8 @@
 byte for byte with the files under ``tests/golden/reports``.
 
 Each case is one ``main()`` call on ``samples/model.json`` with one of the
-three sample specs, with and without ``--strict-paper``. A run that exits 0
+three sample specs, with and without ``--strict-paper`` where the command
+takes it; ``observer`` reads the model alone. A run that exits 0
 is held to ``<case>.json`` (or ``.dot``), its standard output; any other run
 to ``<case>.exit<code>``, its standard error. To rewrite the files after an
 intended change of the reports, run ``PYTHONPATH=src python
@@ -39,14 +40,18 @@ def cases() -> dict:
             variants += [
                 (f"export-dot-{stage}", ["export-dot", "--stage", stage], "dot") for stage in STAGES
             ]
-            if not strict:  # check-violation has no --strict-paper flag
-                variants.append(("check-violation", ["check-violation"], "json"))
+            if not strict:  # these commands take no --strict-paper flag
+                variants += [
+                    (command, [command], "json")
+                    for command in ("check-violation", "check-classic", "build-aobs", "oracle")
+                ]
             for name, command, extension in variants:
                 argv = command + [
                     "--model", str(ROOT / "samples" / "model.json"),
                     "--spec", str(ROOT / "samples" / f"attack-{spec}.json"),
                 ] + flags
                 table[f"{name}-{suffix}"] = (argv, extension)
+    table["observer"] = (["observer", "--model", str(ROOT / "samples" / "model.json")], "json")
     return table
 
 
