@@ -115,13 +115,11 @@ class AttackObserver:
         self.ids = range(len(nodes))
         self.kept = bytearray(b"\x01") * len(nodes)
         self._parent = None  # the full graph holds no cycle to itself
-        self._enabled: dict = {}  # id -> frozenset of its kept labels, filled on lookup
         # Shared with every restriction, so a node has one object everywhere.
         self._objects: list = [None] * len(nodes)  # id -> AObsState, made on demand
         self._index: dict = {}  # (phase, count, tag, mask) -> id, filled on first lookup
         self._counters: dict = {}  # (count, tag) -> its one GameCounter
         self._estimates: dict = {}  # mask -> its one StateEstimate
-        self._label_sets: dict = {}  # label tuple -> its one frozenset
         self._preds: list | None = None
 
     @property
@@ -156,6 +154,12 @@ class AttackObserver:
         kept = self.kept
         return [(label, j) for label, j in zip(self.labels[i], self.targets[i]) if kept[j]]
 
+    @property
+    def n_transitions(self) -> int:
+        """The number of transitions kept here."""
+        kept, targets = self.kept, self.targets
+        return sum(kept[j] for i in self.ids for j in targets[i])
+
     def target(self, i: int, label: str) -> int | None:
         """The id ``label`` leads to from ``i`` here, or None."""
         labels = self.labels[i]
@@ -184,7 +188,7 @@ class AttackObserver:
         view = copy.copy(base)  # shares the lists and caches of the full graph
         for name in ("states", "transitions"):  # the full graph's cached views
             view.__dict__.pop(name, None)
-        view._parent, view.ids, view._enabled = base, reached, {}
+        view._parent, view.ids = base, reached
         view.initial_id = start if reached else None
         view.kept = bytearray(len(base.kept))
         for i in reached:
@@ -257,16 +261,7 @@ class AttackObserver:
 
     def enabled(self, state: AObsState) -> frozenset:
         i = self.id_of(state)
-        if i is None:
-            return _EMPTY
-        enabled = self._enabled.get(i)
-        if enabled is None:
-            labels = tuple(label for label, _j in self.kept_targets(i))
-            enabled = self._label_sets.get(labels)
-            if enabled is None:
-                enabled = self._label_sets[labels] = frozenset(labels)
-            self._enabled[i] = enabled
-        return enabled
+        return _EMPTY if i is None else frozenset(label for label, _j in self.kept_targets(i))
 
     def step(self, state: AObsState, label: str) -> AObsState | None:
         i = self.id_of(state)
@@ -300,8 +295,7 @@ class AttackObserver:
         return self.restrict_ids([i for i in ids if i is not None])
 
     def __repr__(self) -> str:
-        edges = sum(len(self.kept_targets(i)) for i in self.ids)
-        return f"AttackObserver(states={len(self.ids)}, transitions={edges})"
+        return f"AttackObserver(states={len(self.ids)}, transitions={self.n_transitions})"
 
 
 def _bits(mask: int):

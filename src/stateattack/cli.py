@@ -1,6 +1,9 @@
 """Command-line front end: every subcommand is a thin composition of library
 calls that prints one deterministic JSON report to stdout.
 
+A subcommand takes only the flags it reads: ``--format`` where it has a DOT
+artifact to write, ``--fail-on-violation`` where it checks a property.
+
 Exit codes: 0 when the analysis ran (whatever the verdict), 1 only when
 --fail-on-violation is set and the checked property is violated/enforced,
 2 on malformed input, 3 when the synthesized strategy does not cover a
@@ -33,6 +36,7 @@ from .strategy import (
     Adversarial,
     FIRST_VALID,
     INFINITE_RANK,
+    MealyStrategy,
     RANKED,
     RandomSeeded,
     StrategyError,
@@ -46,7 +50,7 @@ from .violation import check_violation, witness_labels
 STAGES = ("model", "observer", "aobs", "verifier", "final-verifier", "strategy")
 
 
-def _add_common(parser: argparse.ArgumentParser, needs_spec: bool) -> None:
+def _add_common(parser: argparse.ArgumentParser, needs_spec: bool, dot=False, fails=False) -> None:
     parser.add_argument("--model", required=True, help="path to the plant model document")
     if needs_spec:
         parser.add_argument("--spec", help="path to the attack description document")
@@ -55,8 +59,10 @@ def _add_common(parser: argparse.ArgumentParser, needs_spec: bool) -> None:
         parser.add_argument("--mode", choices=("anonymity", "opacity"), default="anonymity")
         parser.add_argument("--secret", help="comma-separated secret states (opacity mode)")
     parser.add_argument("--out", help="write the produced artifact to this path")
-    parser.add_argument("--format", choices=("json", "dot"), default="json")
-    parser.add_argument("--fail-on-violation", action="store_true")
+    if dot:
+        parser.add_argument("--format", choices=("json", "dot"), default="json")
+    if fails:
+        parser.add_argument("--fail-on-violation", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,36 +73,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("observer", help="build the plant observer")
-    _add_common(p, needs_spec=False)
+    _add_common(p, needs_spec=False, dot=True)
 
     p = sub.add_parser("check-classic", help="attack-free anonymity/opacity checks")
-    _add_common(p, needs_spec=True)
+    _add_common(p, needs_spec=True, fails=True)
 
     p = sub.add_parser("build-aobs", help="build the attack observer")
-    _add_common(p, needs_spec=True)
+    _add_common(p, needs_spec=True, dot=True)
 
     p = sub.add_parser("check-violation", help="can the intruder ever pin the system down?")
-    _add_common(p, needs_spec=True)
+    _add_common(p, needs_spec=True, dot=True, fails=True)
 
     p = sub.add_parser("check-enforced", help="can the intruder force a violation?")
-    _add_common(p, needs_spec=True)
+    _add_common(p, needs_spec=True, dot=True, fails=True)
     p.add_argument("--strict-paper", action="store_true", help="literal pruning rule for result branches")
 
     p = sub.add_parser("synthesize", help="synthesize an attack strategy")
-    _add_common(p, needs_spec=True)
+    _add_common(p, needs_spec=True, dot=True, fails=True)
     p.add_argument("--strict-paper", action="store_true")
     p.add_argument("--policy", choices=(RANKED, FIRST_VALID), default=RANKED)
 
     p = sub.add_parser("simulate", help="simulate plays of a synthesized strategy")
-    _add_common(p, needs_spec=True)
+    _add_common(p, needs_spec=True, fails=True)
     p.add_argument("--strict-paper", action="store_true")
     p.add_argument("--policy", choices=(RANKED, FIRST_VALID), default=RANKED)
     p.add_argument("--seed", type=int, help="seeded random system; omit for the adversarial system")
     p.add_argument("--max-rounds", type=int, default=1000)
 
     p = sub.add_parser("oracle", help="brute-force verdicts computed directly on the plant")
-    _add_common(p, needs_spec=True)
-    p.add_argument("--horizon", type=int, help="event bound for the violation search")
+    _add_common(p, needs_spec=True, fails=True)
+    p.add_argument("--horizon", type=int, help="event bound of the violation search (default none)")
 
     p = sub.add_parser("export-dot", help="render a pipeline stage as DOT")
     _add_common(p, needs_spec=True)
@@ -122,7 +128,7 @@ def _load_inputs(args, needs_spec: bool):
     model = parse_model(_read(args.model))
     if not needs_spec:
         return model, None
-    if getattr(args, "spec", None):
+    if args.spec:
         return model, parse_spec(_read(args.spec), model)
     if args.budget is None:
         raise InputError("either --spec or --attacked/--budget is required")
@@ -144,17 +150,26 @@ def _forceable(rank) -> bool | None:
     return None if rank is None else not math.isinf(rank)
 
 
-def _emit(report: dict, args, artifact: str | None = None) -> None:
+def _emit(report: dict, args, graph=None, name: str = "") -> None:
+    """Print the report. Under --out write there the DOT text of ``graph``
+    under --format dot, else a strategy's JSON document, else the report: an
+    artifact is made only when it is written."""
     text = json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False)
     if args.out:
-        Path(args.out).write_text(artifact if artifact is not None else text + "\n", encoding="utf-8")
+        if graph is not None and args.format == "dot":
+            artifact = export_dot(graph, name)
+        elif isinstance(graph, MealyStrategy):
+            artifact = serialize_strategy(graph)
+        else:
+            artifact = text + "\n"
+        Path(args.out).write_text(artifact, encoding="utf-8")
     print(text)
 
 
 def _strategy_for(model: Nfa, attack: AttackSpec, args):
     """Synthesized strategy for the instance, or None when the intruder
     cannot enforce a violation."""
-    enforced, fv = check_enforced(model, attack, getattr(args, "strict_paper", False))
+    enforced, fv = check_enforced(model, attack, args.strict_paper)
     if not enforced:
         return None, fv
     return synthesize_strategy(fv, fv.parent, args.policy), fv
@@ -186,10 +201,7 @@ def _dispatch(args) -> int:
             "observer_transitions": len(obs.transitions),
             "states": [str(q) for q in sorted(obs.states)],
         }
-        artifact = export_dot(obs, "observer") if args.format == "dot" else json.dumps(
-            report, indent=2, sort_keys=True, ensure_ascii=False
-        )
-        _emit(report, args, artifact)
+        _emit(report, args, obs, "observer")
         return 0
 
     model, attack = _load_inputs(args, needs_spec=True)
@@ -207,12 +219,11 @@ def _dispatch(args) -> int:
         aobs = build_attack_observer(model, attack)
         report = {
             "command": command,
-            "states": len(aobs.states),
-            "transitions": len(aobs.transitions),
-            "initial": str(aobs.initial),
+            "states": len(aobs.ids),
+            "transitions": aobs.n_transitions,
+            "initial": aobs.names([aobs.initial_id])[aobs.initial_id],
         }
-        artifact = export_dot(aobs, "attack_observer") if args.format == "dot" else None
-        _emit(report, args, artifact)
+        _emit(report, args, aobs, "attack_observer")
         return 0
 
     if command == "check-violation":
@@ -222,12 +233,11 @@ def _dispatch(args) -> int:
             "command": command,
             "mode": attack.mode,
             "verdict": verdict,
-            "attack_observer_states": len(verifier.parent.states),
-            "verifier_states": len(verifier.states),
+            "attack_observer_states": len(verifier.parent.ids),
+            "verifier_states": len(verifier.ids),
             "witness": witness,
         }
-        artifact = export_dot(verifier, "verifier") if args.format == "dot" else None
-        _emit(report, args, artifact)
+        _emit(report, args, verifier, "verifier")
         return 1 if args.fail_on_violation and verdict else 0
 
     if command == "check-enforced":
@@ -239,12 +249,11 @@ def _dispatch(args) -> int:
             "command": command,
             "mode": attack.mode,
             "verdict": verdict,
-            "final_verifier_states": len(fv.states),
+            "final_verifier_states": len(fv.ids),
             "forceable": _forceable(rank_initial),
             "rank_initial": _rank_value(rank_initial),
         }
-        artifact = export_dot(fv, "final_verifier") if args.format == "dot" else None
-        _emit(report, args, artifact)
+        _emit(report, args, fv, "final_verifier")
         return 1 if args.fail_on_violation and verdict else 0
 
     if command == "synthesize":
@@ -255,7 +264,6 @@ def _dispatch(args) -> int:
             return 0
         validation = validate_strategy(strategy, fv.parent, attack)
         rank_initial = strategy.id_ranks.get(strategy.initial_id)
-        names = strategy.names()
         report = {
             "command": command,
             "enforced": True,
@@ -266,12 +274,9 @@ def _dispatch(args) -> int:
             "max_rounds": validation.max_rounds,
             "forceable": _forceable(rank_initial),
             "rank_initial": _rank_value(rank_initial),
-            "edges": strategy_edge_rows(strategy, names),
+            "edges": strategy_edge_rows(strategy, strategy.names()),
         }
-        artifact = (
-            export_dot(strategy, "strategy") if args.format == "dot" else serialize_strategy(strategy)
-        )
-        _emit(report, args, artifact)
+        _emit(report, args, strategy, "strategy")
         return 1 if args.fail_on_violation else 0
 
     if command == "simulate":
@@ -300,13 +305,11 @@ def _dispatch(args) -> int:
         return 1 if args.fail_on_violation and trace.outcome == "violated" else 0
 
     if command == "oracle":
-        aobs = build_attack_observer(model, attack)
-        horizon = args.horizon if args.horizon is not None else len(aobs.states)
-        violation = oracle_check_violation(model, attack, horizon)
+        violation = oracle_check_violation(model, attack, args.horizon)
         enforced = oracle_check_enforced(model, attack)
         report = {
             "command": command,
-            "horizon": horizon,
+            "horizon": args.horizon,
             "violation": violation,
             "enforced": enforced,
         }

@@ -136,15 +136,18 @@ def is_violating_attack_sequence(
     return search(0, initial)
 
 
-def oracle_check_violation(g: Nfa, attack: AttackSpec, horizon: int) -> bool:
+def oracle_check_violation(g: Nfa, attack: AttackSpec, horizon: int | None = None) -> bool:
     """Can an observation sequence of at most ``horizon`` events be paired
     with attack decisions that pin the system down?
 
     Level-by-level evaluation over (estimate, attacks used) decision points,
     where level j means "achievable with at most j further events". Every
     attack branches over all of its defined results; each result branch may
-    then continue with its own events."""
-    if horizon < 1:
+    then continue with its own events. Every level that changes adds a
+    decision point, and the evaluation stops at the first level that does not,
+    so the default horizon, the number of decision points, gives the verdict
+    without any bound."""
+    if horizon is not None and horizon < 1:
         raise ValueError("horizon must be at least 1")
     attacked = attack.attacked
     nonattacked = g.states - attacked
@@ -182,7 +185,7 @@ def oracle_check_violation(g: Nfa, attack: AttackSpec, horizon: int) -> bool:
         return used < budget and all(_violating(attack, p) for p in parts(members))
 
     level = {node: finish_now(*node) for node in nodes}
-    for _ in range(horizon):
+    for _ in range(len(nodes) if horizon is None else horizon):
         nxt_level = {}
         changed = False
         for node in nodes:

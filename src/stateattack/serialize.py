@@ -5,9 +5,10 @@ renderings of every structure the pipeline builds."""
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 
-from .aobs import AObsState, AttackObserver, StateType, classify
-from .attackmodel import AttackSpec, RESERVED_LABELS
+from .aobs import AttackObserver
+from .attackmodel import PHASE_AWAIT, PHASE_DECIDE, PHASE_SYSTEM, RESERVED_LABELS, AttackSpec
 from .automata import Dfa, Nfa, _natural_key
 from .strategy import MealyStrategy
 
@@ -159,72 +160,60 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-_TYPE_FILL = {
-    StateType.TYPE_I: "mistyrose",
-    StateType.TYPE_II: "lightblue",
-    StateType.TYPE_III: "palegreen",
-}
+_PHASE_FILL = {PHASE_SYSTEM: "mistyrose", PHASE_AWAIT: "lightblue", PHASE_DECIDE: "palegreen"}
 
-
-def _empty_dot(name: str) -> str:
-    return f"digraph {name} {{\n  empty [shape=plaintext label=\"empty\"];\n}}\n"
+_BOXES = ("  rankdir=LR;", "  node [shape=box style=filled fillcolor=white];")
+# A deterministic graph's edges sort by source and label; sources with equal
+# names (plant state names may hold commas) keep their edges in graph order.
+_SOURCE_LABEL = itemgetter(0, 1)
 
 
 def export_dot(obj, name: str = "automaton") -> str:
     """Deterministic DOT text for any constructed structure. Attack-observer
     states are colored by type (system-move red, result-wait blue, decision
     green); strategy edges are labeled input/output."""
-    if isinstance(obj, MealyStrategy):
-        return _strategy_dot(obj, name)
-    if isinstance(obj, AttackObserver):
-        return _graph_dot(name, obj, sorted(obj.states))
-    if isinstance(obj, Dfa):
-        return _graph_dot(name, obj, sorted(obj.states, key=str))
     if isinstance(obj, Nfa):
-        edges = [((src, label), dst) for src, label, dst in obj.transitions]
-        lines = [f"digraph {name} {{", "  rankdir=LR;"]
-        for state in sorted(obj.states, key=str):
-            shape = "doublecircle" if state in obj.initial else "circle"
-            lines.append(f"  {_quote(str(state))} [shape={shape}];")
-        for (src, label), dst in sorted(edges, key=lambda kv: (str(kv[0][0]), kv[0][1], str(kv[1]))):
-            lines.append(f"  {_quote(str(src))} -> {_quote(str(dst))} [label={_quote(label)}];")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    raise TypeError(f"cannot export {type(obj).__name__} to DOT")
+        nodes = [
+            (str(state), "shape=doublecircle" if state in obj.initial else "shape=circle")
+            for state in sorted(obj.states, key=str)
+        ]
+        edges = sorted((str(src), label, str(dst)) for src, label, dst in obj.transitions)
+        return _dot(name, ("  rankdir=LR;",), nodes, edges)
+    if isinstance(obj, Dfa):
+        nodes = [
+            (str(state), "peripheries=2" if state == obj.initial else "")
+            for state in sorted(obj.states, key=str)
+        ]
+        rows = [(str(src), str(label), str(dst)) for (src, label), dst in obj.transitions.items()]
+        edges = sorted(rows, key=_SOURCE_LABEL)
+        return _dot(name, _BOXES, nodes, edges)
+    if isinstance(obj, MealyStrategy):
+        graph, names = obj.graph, obj.names()
+        rows = obj.id_edge_list(names)
+        edges = [(names[i], f"{event}/{output}", names[k]) for i, event, output, k in rows]
+    elif isinstance(obj, AttackObserver):
+        graph, names = obj, obj.names(obj.ids)
+        rows = [(names[i], label, names[j]) for i in obj.ids for label, j in obj.kept_targets(i)]
+        edges = sorted(rows, key=_SOURCE_LABEL)
+    else:
+        raise TypeError(f"cannot export {type(obj).__name__} to DOT")
+    nodes = []
+    for i, text in names.items():
+        fill = f"fillcolor={_PHASE_FILL[graph.phase[i]]}"
+        nodes.append((text, f"{fill} peripheries=2" if i == obj.initial_id else fill))
+    return _dot(name, _BOXES, nodes, edges)
 
 
-def _graph_dot(name: str, graph, states: list) -> str:
-    """DOT text of a deterministic graph (``Dfa`` or ``AttackObserver``) with
-    its states listed in ``states`` order."""
-    if not states:
-        return _empty_dot(name)
-    lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=box style=filled fillcolor=white];"]
-    for state in states:
-        attrs = []
-        if isinstance(state, AObsState):
-            attrs.append(f"fillcolor={_TYPE_FILL[classify(state)]}")
-        if state == graph.initial:
-            attrs.append("peripheries=2")
-        suffix = f" [{' '.join(attrs)}]" if attrs else ""
-        lines.append(f"  {_quote(str(state))}{suffix};")
-    edges = sorted(graph.transitions.items(), key=lambda kv: (str(kv[0][0]), kv[0][1]))
-    for (src, label), dst in edges:
-        lines.append(f"  {_quote(str(src))} -> {_quote(str(dst))} [label={_quote(str(label))}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _strategy_dot(strategy: MealyStrategy, name: str) -> str:
-    lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=box style=filled fillcolor=white];"]
-    names = strategy.names()
-    for i, label in names.items():
-        attrs = [f"fillcolor={_TYPE_FILL[classify(strategy.graph.state_of(i))]}"]
-        if i == strategy.initial_id:
-            attrs.append("peripheries=2")
-        lines.append(f"  {_quote(label)} [{' '.join(attrs)}];")
-    for i, event, output, k in strategy.id_edge_list(names):
-        lines.append(
-            f"  {_quote(names[i])} -> {_quote(names[k])} [label={_quote(f'{event}/{output}')}];"
-        )
+def _dot(name: str, header: tuple, nodes: list, edges: list) -> str:
+    """DOT text of the ``header`` lines, the (name, attributes) ``nodes`` and
+    the (source, label, target) ``edges``, in the order given. A graph
+    without nodes is drawn as one "empty" label."""
+    if not nodes:
+        return f'digraph {name} {{\n  empty [shape=plaintext label="empty"];\n}}\n'
+    lines = [f"digraph {name} {{", *header]
+    for node, attrs in nodes:
+        lines.append(f"  {_quote(node)} [{attrs}];" if attrs else f"  {_quote(node)};")
+    for src, label, dst in edges:
+        lines.append(f"  {_quote(src)} -> {_quote(dst)} [label={_quote(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -214,6 +214,15 @@ def test_restrictions_keep_each_id_once(instances):
             assert graph.kept.count(1) == len(graph.ids)
 
 
+def test_transition_count_follows_the_kept_transitions(instances):
+    for plant, attack in instances[:60]:
+        verifier = check_violation(plant, attack)[1]
+        for graph in (verifier.parent, verifier, check_enforced(plant, attack)[1]):
+            counts = len(graph.states), len(graph.transitions)
+            assert graph.n_transitions == counts[1]
+            assert repr(graph) == "AttackObserver(states={}, transitions={})".format(*counts)
+
+
 def test_predecessors_invert_the_transitions(aobs_24, attack_24):
     verifier = check_violation(aobs_24.plant, attack_24)[1]
     for graph in (aobs_24, verifier):

@@ -158,6 +158,70 @@ def test_oracle_report(capsys, model_path, spec_path):
     assert report["enforced"] is False
 
 
+def test_oracle_reports_the_horizon_it_was_given(capsys, model_path, spec_path):
+    _, out = run(capsys, "oracle", "--model", model_path, "--spec", spec_path)
+    assert json.loads(out)["horizon"] is None  # the default bounds nothing
+    _, out = run(capsys, "oracle", "--model", model_path, "--spec", spec_path, "--horizon", "1")
+    assert json.loads(out)["horizon"] == 1
+
+
+def test_build_aobs_report_and_artifacts(capsys, tmp_path, model_path, spec_path):
+    inputs = ["--model", model_path, "--spec", spec_path]
+    out_path = tmp_path / "aobs"
+    code, out = run(capsys, "build-aobs", *inputs, "--out", str(out_path))
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "build-aobs", "initial": "(A,0,{1,10})", "states": 34, "transitions": 47,
+    }
+    assert out_path.read_text() == out
+    code, out = run(capsys, "build-aobs", *inputs, "--format", "dot", "--out", str(out_path))
+    assert code == 0 and json.loads(out)["states"] == 34
+    assert out_path.read_text() == run(capsys, "export-dot", *inputs, "--stage", "aobs")[1]
+
+
+def test_observer_out_file_is_the_report(capsys, tmp_path, model_path):
+    out_path = tmp_path / "observer.json"
+    _, out = run(capsys, "observer", "--model", model_path, "--out", str(out_path))
+    assert out_path.read_text() == out  # with its final newline, as every --out JSON file
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--format", "dot"],
+        ["export-dot", "--fail-on-violation", "--format", "json"],
+        ["observer", "--fail-on-violation"],
+        ["build-aobs", "--fail-on-violation"],
+        ["check-classic", "--format", "json"],
+        ["oracle", "--format", "json"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_usage_errors(
+    capsys, tmp_path, model_path, spec_path, argv
+):
+    out_path = tmp_path / "artifact"
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--model", model_path, "--spec", spec_path, "--out", str(out_path)])
+    assert exit_info.value.code == 2
+    assert not out_path.exists()
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", ["build-aobs", "check-violation", "check-enforced", "synthesize"]
+)
+def test_artifacts_are_made_only_for_out(capsys, monkeypatch, command):
+    def unwanted(*_args):
+        raise AssertionError("artifact made without --out")
+
+    monkeypatch.setattr("stateattack.cli.export_dot", unwanted)
+    monkeypatch.setattr("stateattack.cli.serialize_strategy", unwanted)
+    model, spec = str(SAMPLES / "model.json"), str(SAMPLES / "attack-wide.json")
+    for fmt in ("json", "dot"):
+        assert main([command, "--model", model, "--spec", spec, "--format", fmt]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_strict_paper_flag_changes_final_verifier(capsys, model_path):
     _, out = run(
         capsys, "check-enforced", "--model", model_path,
@@ -193,6 +257,33 @@ def test_input_errors_exit_2(capsys, tmp_path, model_path):
                "--attacked", "2", "--budget", "-1")[0] == 2
     assert run(capsys, "check-violation", "--model", model_path)[0] == 2  # no spec at all
     assert run(capsys, "observer", "--model", str(tmp_path / "missing.json"))[0] == 2
+
+
+@pytest.mark.parametrize(
+    "model_change,mode,category",
+    [
+        ({"states": "1"}, None, "syntax error"),
+        ({"transitions": {}}, None, "syntax error"),
+        ({"initial": ["99"]}, None, "unknown identifier"),
+        ({"initial": []}, None, "syntax error"),
+        ({"transitions": [["1", "a"]]}, None, "syntax error"),
+        ({"transitions": [["1", "z", "2"]]}, None, "unknown identifier"),
+        ({}, {"opacity": ["7"]}, "syntax error"),
+        ({}, {"opacity": {"secret_states": ["99"]}}, "unknown identifier"),
+    ],
+)
+def test_malformed_documents_exit_2_with_their_category(
+    capsys, tmp_path, model_path, model_change, mode, category
+):
+    model, spec = tmp_path / "changed.json", tmp_path / "attack.json"
+    model.write_text(json.dumps({**json.loads(Path(model_path).read_text()), **model_change}))
+    attack = {"attacked_states": ["2"], "budget": 1, "mode": mode or "anonymity"}
+    spec.write_text(json.dumps(attack))
+    code = main(["check-violation", "--model", str(model), "--spec", str(spec)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {category}") and captured.err.count("\n") == 1
 
 
 def test_secret_flag_covering_every_state_exits_2(capsys, model_path):

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from stateattack.aobs import AObsState
 from stateattack.cli import STAGES, main
 
 ROOT = Path(__file__).parent.parent
@@ -76,6 +77,21 @@ def test_report_matches_golden(case):
     stored = sorted(p.name for p in GOLDEN.glob(f"{case}.*"))
     assert stored == [f"{case}.{suffix}"]
     assert (GOLDEN / f"{case}.{suffix}").read_bytes() == text.encode("utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CASES if not c.startswith("simulate-")))
+def test_report_makes_no_state_objects(case, monkeypatch):
+    """Only a play needs ``AObsState`` objects (its rounds' estimates); every
+    other report and DOT file is written from the node ids."""
+    made = []
+
+    def counting(self, *args, _init=AObsState.__init__, **kwargs):
+        made.append(self)
+        _init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AObsState, "__init__", counting)
+    produce(*CASES[case])
+    assert len(made) == 0
 
 
 def write_all() -> None:

@@ -117,6 +117,11 @@ def test_empty_automaton_dot():
     assert 'empty [shape=plaintext label="empty"]' in dot
 
 
+def test_dot_export_rejects_unknown_types():
+    with pytest.raises(TypeError, match="cannot export dict to DOT"):
+        export_dot({}, "graph")
+
+
 def test_strategy_dot_uses_slash_labels():
     enforced, fv = check_enforced(
         ten_state_plant(), AttackSpec(frozenset({"2", "4", "8", "9"}), 1)

@@ -465,6 +465,17 @@ def test_known_initial_state_violates_at_round_zero():
     assert trace.rounds[0].event == EPSILON
 
 
+def test_play_stalls_where_the_true_state_has_no_moves():
+    g = Nfa(["1", "2"], ["a"], [("1", "a", "1")], ["1", "2"])
+    attack = AttackSpec(frozenset(), 0)
+    enforced, fv = check_enforced(g, attack)
+    strategy = synthesize_strategy(fv, fv.parent)
+    assert enforced and validate_strategy(strategy, fv.parent, attack).sound
+    trace = simulate_play(g, strategy, RandomSeeded(0), 10)
+    assert trace.outcome == "stalled"
+    assert [rnd.true_state for rnd in trace.rounds] == ["2"]  # 2 has no move
+
+
 def test_simulation_reports_missing_edge(plant, ranked_2489):
     edges = dict(ranked_2489.id_edges)
     del edges[(ranked_2489.graph.id_of(aob("S", "0N", "1,10")), "d")]
