@@ -38,6 +38,7 @@ from .attackmodel import (
 from .automata import Nfa, StateEstimate, _natural_key
 
 _EMPTY: frozenset = frozenset()
+_counter = functools.cache(GameCounter)  # (count, tag) -> its one GameCounter, in every graph
 
 
 class StateType(Enum):
@@ -81,8 +82,8 @@ class AttackObserver:
     algorithms run on these lists. ``AObsState`` objects, with their
     ``GameCounter`` and ``StateEstimate``, are made only when a caller asks
     for the state-level view (``states``, ``transitions``, ``initial``,
-    ``step``, ``predecessors``, ``run``), once per node, so equal states are
-    the same object. Looking a state up (``id_of``, ``enabled``) makes none.
+    ``step``, ``run``), once per node, so equal states are the same object.
+    Looking a state up (``id_of``, ``enabled``) makes none.
 
     A restriction to part of the nodes (``restrict``, ``restrict_ids``) is
     again an ``AttackObserver`` over the same lists: it keeps the ids in
@@ -118,7 +119,6 @@ class AttackObserver:
         # Shared with every restriction, so a node has one object everywhere.
         self._objects: list = [None] * len(nodes)  # id -> AObsState, made on demand
         self._index: dict = {}  # (phase, count, tag, mask) -> id, filled on first lookup
-        self._counters: dict = {}  # (count, tag) -> its one GameCounter
         self._estimates: dict = {}  # mask -> its one StateEstimate
         self._preds: list | None = None
 
@@ -201,13 +201,11 @@ class AttackObserver:
         """The one ``AObsState`` object of node ``i``."""
         state = self._objects[i]
         if state is None:
-            count, tag, mask = self.count[i], self.tag[i], self.mask[i]
-            counter = self._counters.get((count, tag))
-            if counter is None:
-                counter = self._counters[(count, tag)] = GameCounter(count, tag)
+            mask = self.mask[i]
             estimate = self._estimates.get(mask)
             if estimate is None:
                 estimate = self._estimates[mask] = StateEstimate(self.members_of(i))
+            counter = _counter(self.count[i], self.tag[i])
             state = self._objects[i] = AObsState(self.phase[i], counter, estimate)
         return state
 
@@ -275,19 +273,6 @@ class AttackObserver:
                 return None
             i = self.target(i, label)
         return None if i is None else self.state_of(i)
-
-    def predecessors(self, state: AObsState) -> tuple:
-        """(source, label) pairs of the transitions into ``state``."""
-        j = self.id_of(state)
-        if j is None:
-            return ()
-        sources = dict.fromkeys(i for i in self.preds[j] if self.kept[i])
-        return tuple(
-            (self.state_of(i), label)
-            for i in sources
-            for label, target in zip(self.labels[i], self.targets[i])
-            if target == j
-        )
 
     def restrict(self, keep: Iterable[AObsState]) -> "AttackObserver":
         """The part of this graph reachable from its initial state inside ``keep``."""

@@ -129,7 +129,13 @@ def _load_inputs(args, needs_spec: bool):
     if not needs_spec:
         return model, None
     if args.spec:
+        if args.mode == "opacity" or (args.attacked, args.budget, args.secret) != (None, None, None):
+            raise InputError(
+                "conflicting attack flags: --spec with --attacked, --budget, --secret or --mode opacity"
+            )
         return model, parse_spec(_read(args.spec), model)
+    if args.secret is not None and args.mode != "opacity":
+        raise InputError("conflicting attack flags: --secret needs --mode opacity")
     if args.budget is None:
         raise InputError("either --spec or --attacked/--budget is required")
     document = {"attacked_states": _names(args.attacked), "budget": args.budget}
@@ -138,16 +144,14 @@ def _load_inputs(args, needs_spec: bool):
     return model, parse_spec(json.dumps(document), model)
 
 
-def _rank_value(value):
-    if value is None:
-        return None
-    return "inf" if math.isinf(value) else value
-
-
-def _forceable(rank) -> bool | None:
-    """Whether the intruder can force a violation in finitely many rounds
-    (a finite initial rank), or None when it cannot even hold one."""
-    return None if rank is None else not math.isinf(rank)
+def _rank_fields(rank) -> dict:
+    """The report fields of the initial rank: ``forceable``, whether the
+    intruder can force a violation in finitely many rounds, and
+    ``rank_initial``; both None when it cannot even hold one."""
+    if rank is None:
+        return {"forceable": None, "rank_initial": None}
+    finite = not math.isinf(rank)
+    return {"forceable": finite, "rank_initial": rank if finite else "inf"}
 
 
 def _emit(report: dict, args, graph=None, name: str = "") -> None:
@@ -250,8 +254,7 @@ def _dispatch(args) -> int:
             "mode": attack.mode,
             "verdict": verdict,
             "final_verifier_states": len(fv.ids),
-            "forceable": _forceable(rank_initial),
-            "rank_initial": _rank_value(rank_initial),
+            **_rank_fields(rank_initial),
         }
         _emit(report, args, fv, "final_verifier")
         return 1 if args.fail_on_violation and verdict else 0
@@ -272,8 +275,7 @@ def _dispatch(args) -> int:
             "strategy_edges": strategy.n_edges,
             "sound": validation.sound,
             "max_rounds": validation.max_rounds,
-            "forceable": _forceable(rank_initial),
-            "rank_initial": _rank_value(rank_initial),
+            **_rank_fields(rank_initial),
             "edges": strategy_edge_rows(strategy, strategy.names()),
         }
         _emit(report, args, strategy, "strategy")

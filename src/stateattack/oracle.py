@@ -122,18 +122,19 @@ def is_violating_attack_sequence(
         parts = [members & attack.attacked, members & nonattacked]
         return [part for part in parts if part]
 
-    def search(i: int, members: frozenset) -> bool:
-        decision = r_a[i]
-        if i == len(s):
-            return all(_violating(attack, part) for part in outcomes(members, decision))
-        for part in outcomes(members, decision):
-            nxt = g.image(part, s[i])
-            if nxt and search(i + 1, nxt):
-                return True
-        return False
-
-    initial = frozenset(g.initial)
-    return search(0, initial)
+    # Depth first on an explicit stack of (round, estimate), so a long trace does not recurse.
+    stack = [(0, frozenset(g.initial))]
+    while stack:
+        i, members = stack.pop()
+        parts = outcomes(members, r_a[i])
+        if i < len(s):
+            for part in reversed(parts):  # the first result is popped first
+                nxt = g.image(part, s[i])
+                if nxt:
+                    stack.append((i + 1, nxt))
+        elif all(_violating(attack, part) for part in parts):
+            return True
+    return False
 
 
 def oracle_check_violation(g: Nfa, attack: AttackSpec, horizon: int | None = None) -> bool:

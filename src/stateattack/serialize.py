@@ -5,7 +5,7 @@ renderings of every structure the pipeline builds."""
 from __future__ import annotations
 
 import json
-from operator import itemgetter
+import re
 
 from .aobs import AttackObserver
 from .attackmodel import PHASE_AWAIT, PHASE_DECIDE, PHASE_SYSTEM, RESERVED_LABELS, AttackSpec
@@ -15,8 +15,8 @@ from .strategy import MealyStrategy
 
 class InputError(ValueError):
     """Malformed model or attack document; the message carries the diagnostic
-    category (syntax error, unknown identifier, reserved label, negative
-    budget)."""
+    category (syntax error, unknown identifier, reserved label, reserved
+    character, negative budget)."""
 
 
 def _load_json(text: str, what: str) -> dict:
@@ -36,6 +36,11 @@ def _string_list(document: dict, key: str, what: str) -> list:
     return value
 
 
+# Estimates print as {a,b}, so a state name holding one of these characters
+# could print like another estimate.
+_RESERVED_CHARS = re.compile("[,{}]")
+
+
 def parse_model(text: str) -> Nfa:
     """Read a plant model document:
 
@@ -52,6 +57,9 @@ def parse_model(text: str) -> Nfa:
     reserved = sorted(set(events) & RESERVED_LABELS)
     if reserved:
         raise InputError(f"reserved label: events {reserved!r} are reserved for the attack game")
+    if _RESERVED_CHARS.search("".join(states)):
+        clash = [name for name in states if _RESERVED_CHARS.search(name)]
+        raise InputError(f"reserved character: state names {clash!r} hold ',', '{{' or '}}'")
     state_set = set(states)
     event_set = set(events)
     for name in initial:
@@ -163,9 +171,6 @@ def _quote(text: str) -> str:
 _PHASE_FILL = {PHASE_SYSTEM: "mistyrose", PHASE_AWAIT: "lightblue", PHASE_DECIDE: "palegreen"}
 
 _BOXES = ("  rankdir=LR;", "  node [shape=box style=filled fillcolor=white];")
-# A deterministic graph's edges sort by source and label; sources with equal
-# names (plant state names may hold commas) keep their edges in graph order.
-_SOURCE_LABEL = itemgetter(0, 1)
 
 
 def export_dot(obj, name: str = "automaton") -> str:
@@ -185,7 +190,7 @@ def export_dot(obj, name: str = "automaton") -> str:
             for state in sorted(obj.states, key=str)
         ]
         rows = [(str(src), str(label), str(dst)) for (src, label), dst in obj.transitions.items()]
-        edges = sorted(rows, key=_SOURCE_LABEL)
+        edges = sorted(rows)
         return _dot(name, _BOXES, nodes, edges)
     if isinstance(obj, MealyStrategy):
         graph, names = obj.graph, obj.names()
@@ -194,7 +199,7 @@ def export_dot(obj, name: str = "automaton") -> str:
     elif isinstance(obj, AttackObserver):
         graph, names = obj, obj.names(obj.ids)
         rows = [(names[i], label, names[j]) for i in obj.ids for label, j in obj.kept_targets(i)]
-        edges = sorted(rows, key=_SOURCE_LABEL)
+        edges = sorted(rows)
     else:
         raise TypeError(f"cannot export {type(obj).__name__} to DOT")
     nodes = []

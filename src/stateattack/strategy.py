@@ -373,9 +373,9 @@ def simulate_play(
     decision, result, current = advance(initial, EPSILON, true_state)
     rounds.append(PlayRound(EPSILON, decision, result, graph.state_of(current).estimate, true_state))
 
-    while len(rounds) < max_rounds:
-        if violates(mask[current]):
-            return PlayTrace(tuple(rounds), "violated")
+    while not violates(mask[current]):
+        if len(rounds) >= max_rounds:
+            return PlayTrace(tuple(rounds), "exhausted")
         moves = g.moves(true_state)
         if not moves:
             return PlayTrace(tuple(rounds), "stalled")
@@ -385,6 +385,4 @@ def simulate_play(
             event, true_state = max(moves, key=lambda mv: score(current, mv[0], mv[1]))
         decision, result, current = advance(current, event, true_state)
         rounds.append(PlayRound(event, decision, result, graph.state_of(current).estimate, true_state))
-    if violates(mask[current]):
-        return PlayTrace(tuple(rounds), "violated")
-    return PlayTrace(tuple(rounds), "exhausted")
+    return PlayTrace(tuple(rounds), "violated")

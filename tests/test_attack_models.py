@@ -94,6 +94,15 @@ def test_observer_of_attacked_plant_splits_estimates():
 # --- budget counter ----------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "count,tag,message",
+    [(-1, "", "non-negative integer"), (0, "Z", "unknown counter tag")],
+)
+def test_game_counter_rejects_bad_fields(count, tag, message):
+    with pytest.raises(ValueError, match=message):
+        GameCounter(count, tag)
+
+
 def test_number_attack_model_budget_one():
     model = number_attack_model(EVENTS, 1)
     assert model.states == frozenset(

@@ -223,14 +223,17 @@ def test_transition_count_follows_the_kept_transitions(instances):
             assert repr(graph) == "AttackObserver(states={}, transitions={})".format(*counts)
 
 
-def test_predecessors_invert_the_transitions(aobs_24, attack_24):
+def test_preds_invert_the_targets(aobs_24, attack_24):
+    """``preds`` lists each source once per transition into a target, in
+    source order, and a view reads the full graph's lists."""
     verifier = check_violation(aobs_24.plant, attack_24)[1]
     for graph in (aobs_24, verifier):
-        expected: dict = {}
-        for (src, label), dst in graph.transitions.items():
-            expected.setdefault(dst, set()).add((src, label))
-        for state in graph.states:
-            assert set(graph.predecessors(state)) == expected.get(state, set())
+        full = graph.parent
+        expected: dict = {j: [] for j in full.ids}
+        for (src, _label), dst in full.transitions.items():
+            expected[full.id_of(dst)].append(full.id_of(src))
+        assert graph.preds == [expected[j] for j in full.ids]
+    assert any(len(sources) > len(set(sources)) for sources in aobs_24.preds)
 
 
 def test_classify_by_phase():

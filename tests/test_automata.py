@@ -54,6 +54,26 @@ def reach_by_word(g, word):
     return frozenset(current)
 
 
+# --- construction checks -----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: Nfa(["x"], ["a"], [], []), "at least one initial state"),
+        (lambda: Nfa(["x"], ["a"], [], ["y"]), "initial states must be declared"),
+        (lambda: Nfa(["x"], ["a"], [("x", "a", "y")], ["x"]), "endpoint"),
+        (lambda: Nfa(["x"], ["a"], [("x", "b", "x")], ["x"]), "not a declared event"),
+        (lambda: Dfa(["x"], ["a"], {}, "y"), "initial state must be a declared state"),
+        (lambda: Dfa(["x"], ["a"], {("x", "a"): "y"}, "x"), "endpoint"),
+        (lambda: Dfa(["x"], ["a"], {("x", "b"): "x"}, "x"), "not a declared event"),
+    ],
+)
+def test_automata_reject_undeclared_parts(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 # --- state estimates ---------------------------------------------------------
 
 

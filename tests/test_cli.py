@@ -296,6 +296,41 @@ def test_secret_flag_covering_every_state_exits_2(capsys, model_path):
     assert "invalid secret set" in capsys.readouterr().err
 
 
+def test_state_names_with_reserved_characters_exit_2(capsys, tmp_path):
+    """Names holding ',' would print estimates alike: {1,2,3} twice here."""
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "states": ["0", "1", "2,3", "1,2", "3"],
+        "events": ["a", "b"],
+        "initial": ["0"],
+        "transitions": [["0", "a", "1"], ["0", "a", "2,3"], ["0", "b", "1,2"], ["0", "b", "3"]],
+    }))
+    code = main(["observer", "--model", str(model)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: reserved character:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--spec", "attack-narrow.json", "--budget", "0"],
+        ["--spec", "attack-narrow.json", "--attacked", "1"],
+        ["--spec", "attack-narrow.json", "--secret", "7,8"],
+        ["--spec", "attack-narrow.json", "--mode", "opacity"],
+        ["--attacked", "2,4", "--budget", "1", "--secret", "7,8"],
+    ],
+)
+def test_conflicting_attack_flags_exit_2(capsys, flags):
+    flags = [str(SAMPLES / flag) if flag.endswith(".json") else flag for flag in flags]
+    code = main(["check-violation", "--model", str(SAMPLES / "model.json"), *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: conflicting attack flags:") and captured.err.count("\n") == 1
+
+
 def test_reports_are_deterministic(capsys, model_path, spec_path):
     _, first = run(capsys, "check-violation", "--model", model_path, "--spec", spec_path)
     _, second = run(capsys, "check-violation", "--model", model_path, "--spec", spec_path)

@@ -57,6 +57,12 @@ def test_trace_from_labels():
         AttackTrace.from_labels(["N", "a", "Y"], {"a"})  # dangling attack
 
 
+@pytest.mark.parametrize("labels", [["x"], ["N", "a", "x"], ["N", "a", "1"]])
+def test_trace_from_labels_rejects_unexpected_labels(labels):
+    with pytest.raises(ValueError, match="unexpected label"):
+        AttackTrace.from_labels(labels, {"a"})
+
+
 # --- estimate filtering ------------------------------------------------------
 
 
@@ -104,6 +110,22 @@ def test_violating_sequence_validates_shape():
         is_violating_attack_sequence(g, attack, ["a"], ["N"])
     with pytest.raises(ValueError):
         is_violating_attack_sequence(g, attack, ["a"], ["Y", "Y"])
+
+
+@pytest.mark.parametrize("looping_initial,violating", [(False, True), (True, False)])
+def test_violating_sequence_on_a_trace_deeper_than_the_recursion_limit(looping_initial, violating):
+    """A 1,500-state chain read along its 1,499 events: the estimate ends as
+    the last state alone, unless a second initial state loops beside it."""
+    states = [str(i) for i in range(1500)]
+    transitions = [(states[i], "a", states[i + 1]) for i in range(1499)]
+    initial = ["0"]
+    if looping_initial:
+        states.append("loop")
+        transitions.append(("loop", "a", "loop"))
+        initial.append("loop")
+    g = Nfa(states, ["a"], transitions, initial)
+    attack = AttackSpec(frozenset(), 0)
+    assert is_violating_attack_sequence(g, attack, ["a"] * 1499, ["N"] * 1500) is violating
 
 
 def aobs_path_oracle(plant, attack, s, r_a):
