@@ -2,14 +2,7 @@
 a bounded budget of binary state attacks, with Mealy attack-strategy
 synthesis."""
 
-from .aobs import (
-    AObsState,
-    AttackObserver,
-    StateType,
-    build_attack_observer,
-    classify,
-    enabled_in_aobs,
-)
+from .aobs import AObsState, AttackObserver, build_attack_observer
 from .attackmodel import (
     ATTACK_NO,
     ATTACK_YES,
@@ -30,20 +23,12 @@ from .automata import (
     Dfa,
     Nfa,
     StateEstimate,
-    accessible_part,
     check_anonymity_classic,
     check_opacity_classic,
     compose,
-    enabled_events,
     observer,
 )
-from .enforcement import (
-    check_enforced,
-    final_verifier,
-    is_vulnerable_type1,
-    is_vulnerable_type2,
-    is_vulnerable_type3,
-)
+from .enforcement import check_enforced, final_verifier
 from .oracle import (
     AttackRound,
     AttackTrace,

@@ -21,7 +21,6 @@ from __future__ import annotations
 import copy
 import functools
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable
 
 from .attackmodel import (
@@ -41,12 +40,6 @@ _EMPTY: frozenset = frozenset()
 _counter = functools.cache(GameCounter)  # (count, tag) -> its one GameCounter, in every graph
 
 
-class StateType(Enum):
-    TYPE_I = "I"      # system to move, estimate just updated
-    TYPE_II = "II"    # attack launched, result pending
-    TYPE_III = "III"  # intruder deciding whether to attack
-
-
 @dataclass(frozen=True, order=True)
 class AObsState:
     phase: str
@@ -61,14 +54,6 @@ class AObsState:
 def _state_text(phase: str, count: int, tag: str, members: tuple) -> str:
     """The string of an ``AObsState``, from its fields or a node's columns."""
     return f"({phase},{count}{tag},{{{','.join(map(str, members))}}})"
-
-
-def classify(state: AObsState) -> StateType:
-    if state.phase == PHASE_SYSTEM:
-        return StateType.TYPE_I
-    if state.phase == PHASE_AWAIT:
-        return StateType.TYPE_II
-    return StateType.TYPE_III
 
 
 class AttackObserver:
@@ -380,10 +365,3 @@ def attractor(graph: AttackObserver, targets: Iterable[int], need: list) -> dict
                     queue.append(i)
     return ranks
 
-
-def enabled_in_aobs(aobs: AttackObserver, state: AObsState) -> frozenset:
-    """Labels with a defined outgoing transition at ``state`` in the full
-    attack observer."""
-    if aobs.id_of(state) is None:
-        raise ValueError(f"{state} is not an attack-observer state")
-    return aobs.enabled(state)

@@ -50,30 +50,6 @@ class GameCounter:
         if self.tag not in ("", "N", "Y"):
             raise ValueError(f"unknown counter tag {self.tag!r}")
 
-    @classmethod
-    def plain(cls, count: int) -> "GameCounter":
-        return cls(count, "")
-
-    @classmethod
-    def waiting(cls, count: int) -> "GameCounter":
-        return cls(count, "N")
-
-    @classmethod
-    def attacking(cls, count: int) -> "GameCounter":
-        return cls(count, "Y")
-
-    @property
-    def is_plain(self) -> bool:
-        return self.tag == ""
-
-    @property
-    def is_waiting(self) -> bool:
-        return self.tag == "N"
-
-    @property
-    def is_attacking(self) -> bool:
-        return self.tag == "Y"
-
     def __str__(self) -> str:
         return f"{self.count}{self.tag}"
 
@@ -140,9 +116,9 @@ def number_attack_model(events: Iterable[str], budget: int) -> Dfa:
     check_plant_events(events)
     if not isinstance(budget, int) or budget < 0:
         raise ValueError("the attack budget must be a non-negative integer")
-    plain = [GameCounter.plain(k) for k in range(budget + 1)]
-    waiting = [GameCounter.waiting(k) for k in range(budget + 1)]
-    attacking = [GameCounter.attacking(k) for k in range(budget)]
+    plain = [GameCounter(k, "") for k in range(budget + 1)]
+    waiting = [GameCounter(k, "N") for k in range(budget + 1)]
+    attacking = [GameCounter(k, "Y") for k in range(budget)]
     transitions: dict = {}
     for k in range(budget):
         transitions[(plain[k], ATTACK_YES)] = attacking[k]

@@ -1,6 +1,6 @@
-"""Finite-automaton core: NFA/DFA containers, reachability, the
-subset-construction observer, synchronous composition, and the classic
-(attack-free) current-state anonymity and opacity checks."""
+"""Finite-automaton core: NFA/DFA containers, the subset-construction
+observer, synchronous composition, and the classic (attack-free)
+current-state anonymity and opacity checks."""
 
 from __future__ import annotations
 
@@ -180,45 +180,6 @@ class Dfa:
 
 
 Automaton = Union[Nfa, Dfa]
-
-
-def accessible_part(auto: Automaton) -> Automaton:
-    """Restrict an automaton to the states reachable from its initial states."""
-    if isinstance(auto, Dfa):
-        roots = [auto.initial]
-    else:
-        roots = list(auto.initial)
-    reached = set(roots)
-    frontier = deque(roots)
-    while frontier:
-        state = frontier.popleft()
-        for label in auto.enabled(state):
-            targets = (auto.step(state, label),) if isinstance(auto, Dfa) else auto.successors(state, label)
-            for target in targets:
-                if target not in reached:
-                    reached.add(target)
-                    frontier.append(target)
-    if isinstance(auto, Dfa):
-        transitions = {
-            (src, label): dst
-            for (src, label), dst in auto.transitions.items()
-            if src in reached
-        }
-        return Dfa(reached, auto.events, transitions, auto.initial)
-    transitions = {(s, e, t) for (s, e, t) in auto.transitions if s in reached}
-    return Nfa(reached, auto.events, transitions, auto.initial)
-
-
-def enabled_events(g: Nfa, estimate) -> frozenset:
-    """Events enabled at some member of a set of plant states."""
-    members = tuple(estimate)
-    missing = [m for m in members if m not in g.states]
-    if missing:
-        raise ValueError(f"estimate members {missing!r} are not plant states")
-    out: set = set()
-    for member in members:
-        out |= g.enabled(member)
-    return frozenset(out)
 
 
 def observer(g: Nfa) -> Dfa:

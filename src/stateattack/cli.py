@@ -53,16 +53,21 @@ STAGES = ("model", "observer", "aobs", "verifier", "final-verifier", "strategy")
 def _add_common(parser: argparse.ArgumentParser, needs_spec: bool, dot=False, fails=False) -> None:
     parser.add_argument("--model", required=True, help="path to the plant model document")
     if needs_spec:
-        parser.add_argument("--spec", help="path to the attack description document")
+        _add_spec(parser)
         parser.add_argument("--attacked", help="comma-separated attacked states")
         parser.add_argument("--budget", type=int, help="maximum number of state attacks")
-        parser.add_argument("--mode", choices=("anonymity", "opacity"), default="anonymity")
-        parser.add_argument("--secret", help="comma-separated secret states (opacity mode)")
     parser.add_argument("--out", help="write the produced artifact to this path")
     if dot:
         parser.add_argument("--format", choices=("json", "dot"), default="json")
     if fails:
         parser.add_argument("--fail-on-violation", action="store_true")
+
+
+def _add_spec(parser: argparse.ArgumentParser) -> None:
+    """--spec, or the inline mode and secret set: all that check-classic reads."""
+    parser.add_argument("--spec", help="path to the attack description document")
+    parser.add_argument("--mode", choices=("anonymity", "opacity"), default="anonymity")
+    parser.add_argument("--secret", help="comma-separated secret states (opacity mode)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, needs_spec=False, dot=True)
 
     p = sub.add_parser("check-classic", help="attack-free anonymity/opacity checks")
-    _add_common(p, needs_spec=True, fails=True)
+    _add_common(p, needs_spec=False, fails=True)
+    _add_spec(p)
 
     p = sub.add_parser("build-aobs", help="build the attack observer")
     _add_common(p, needs_spec=True, dot=True)
@@ -124,21 +130,25 @@ def _names(flag: str | None) -> list:
     return [name.strip() for name in (flag or "").split(",") if name.strip()]
 
 
-def _load_inputs(args, needs_spec: bool):
+def _load_inputs(args):
+    """The plant, and the attack the command reads: none for ``observer``.
+    ``check-classic`` reads only the secret set and takes no --attacked or
+    --budget, so its inline attack attacks nothing with budget 0."""
     model = parse_model(_read(args.model))
-    if not needs_spec:
+    if "spec" not in args:
         return model, None
+    attacked, budget = vars(args).get("attacked"), vars(args).get("budget")
     if args.spec:
-        if args.mode == "opacity" or (args.attacked, args.budget, args.secret) != (None, None, None):
+        if args.mode == "opacity" or (attacked, budget, args.secret) != (None, None, None):
             raise InputError(
                 "conflicting attack flags: --spec with --attacked, --budget, --secret or --mode opacity"
             )
         return model, parse_spec(_read(args.spec), model)
     if args.secret is not None and args.mode != "opacity":
         raise InputError("conflicting attack flags: --secret needs --mode opacity")
-    if args.budget is None:
+    if budget is None and "budget" in args:
         raise InputError("either --spec or --attacked/--budget is required")
-    document = {"attacked_states": _names(args.attacked), "budget": args.budget}
+    document = {"attacked_states": _names(attacked), "budget": budget or 0}
     if args.mode == "opacity":
         document["mode"] = {"opacity": {"secret_states": _names(args.secret)}}
     return model, parse_spec(json.dumps(document), model)
@@ -197,7 +207,7 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     command = args.command
     if command == "observer":
-        model, _ = _load_inputs(args, needs_spec=False)
+        model, _ = _load_inputs(args)
         obs = observer(model)
         report = {
             "command": command,
@@ -208,7 +218,7 @@ def _dispatch(args) -> int:
         _emit(report, args, obs, "observer")
         return 0
 
-    model, attack = _load_inputs(args, needs_spec=True)
+    model, attack = _load_inputs(args)
 
     if command == "check-classic":
         anonymous = check_anonymity_classic(model)

@@ -210,7 +210,7 @@ def oracle_check_violation(g: Nfa, attack: AttackSpec, horizon: int | None = Non
     return level[initial]
 
 
-def oracle_check_enforced(g: Nfa, attack: AttackSpec, depth: int | None = None) -> bool:
+def oracle_check_enforced(g: Nfa, attack: AttackSpec) -> bool:
     """Can the intruder keep a violation reachable no matter which enabled
     events the system produces and which results the attacks return?
 
@@ -251,14 +251,13 @@ def oracle_check_enforced(g: Nfa, attack: AttackSpec, depth: int | None = None) 
                 nodes.add(succ)
                 frontier.append(succ)
 
-    if depth is None:
-        depth = len(nodes)
     ordered = sorted(nodes, key=lambda n: (n[0], n[2], sorted(map(str, n[1]))))
 
     # Violation-reachable nodes, smallest fixpoint: a launched attack keeps
     # the course only when every defined result does.
     reachable: set = set()
-    for _ in range(depth):
+    changed = True
+    while changed:
         changed = False
         for node in ordered:
             if node in reachable:
@@ -275,13 +274,12 @@ def oracle_check_enforced(g: Nfa, attack: AttackSpec, depth: int | None = None) 
             if good:
                 reachable.add(node)
                 changed = True
-        if not changed:
-            break
 
     # Holdable nodes, largest fixpoint within the reachable ones: no system
     # event and no attack result may expel the intruder.
     hold = set(reachable)
-    for _ in range(depth):
+    removed = True
+    while removed:
         removed = False
         for node in ordered:
             if node not in hold:
@@ -294,6 +292,4 @@ def oracle_check_enforced(g: Nfa, attack: AttackSpec, depth: int | None = None) 
             if not good:
                 hold.discard(node)
                 removed = True
-        if not removed:
-            break
     return initial in hold

@@ -8,12 +8,11 @@ import random
 from collections import deque
 
 from stateattack import AttackSpec, Nfa
-from stateattack.aobs import AObsState, AttackObserver, attractor
+from stateattack.aobs import AObsState, AttackObserver
 from stateattack.attackmodel import (
     ATTACK_NO,
     ATTACK_YES,
     EPSILON,
-    PHASE_DECIDE,
     RESULT_LABELS,
     GameCounter,
     bounded_game_structure,
@@ -30,8 +29,9 @@ from stateattack.strategy import (
     RandomSeeded,
     StrategyError,
     StrategyReport,
+    compute_ranks,
 )
-from stateattack.violation import violating_ids, violation_predicate
+from stateattack.violation import violation_predicate
 
 TEN_STATE_TRANSITIONS = [
     ("1", "a", "2"), ("1", "a", "3"), ("1", "d", "6"), ("1", "d", "9"),
@@ -145,15 +145,6 @@ def composed_attack_observer(g: Nfa, attack: AttackSpec) -> AttackObserver:
     )
 
 
-def full_ranks(fv: AttackObserver, attack: AttackSpec) -> dict:
-    """The ranks of every kept state, as ``{AObsState: rank}``."""
-    need = [0] * len(fv.kept)
-    for i in fv.ids:
-        need[i] = 1 if fv.phase[i] == PHASE_DECIDE else len(fv.kept_targets(i))
-    ranks = attractor(fv.parent, violating_ids(fv, attack), need)
-    return {fv.state_of(i): ranks.get(i, INFINITE_RANK) for i in fv.ids}
-
-
 def _full_decision(fv, ranks, policy, reference, turn_state) -> str:
     """The attack decision at ``turn_state``, reached from ``reference``."""
     candidates: list = []
@@ -182,7 +173,7 @@ def full_strategy(fv: AttackObserver, aobs: AttackObserver, policy: str = RANKED
     violating or not, keyed on ``AObsState`` objects: the reference
     ``synthesize_strategy`` is checked against, up to the first violation."""
     attack = aobs.attack
-    ranks = full_ranks(fv, attack)
+    ranks = compute_ranks(fv, attack)
     initial = fv.initial
     states = {initial}
     edges: dict = {}

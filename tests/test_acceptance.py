@@ -16,15 +16,14 @@ from stateattack import (
     Adversarial,
     AttackSpec,
     EPSILON,
+    PHASE_SYSTEM,
     RandomSeeded,
-    StateType,
     bounded_game_structure,
     build_attack_observer,
     check_anonymity_classic,
     check_enforced,
     check_opacity_classic,
     check_violation,
-    classify,
     compute_ranks,
     filtered_estimate,
     intermediate_violating_fixpoint,
@@ -181,13 +180,13 @@ def shared_traces(aobs, plant, limit_depth=None):
     out = [
         (path, state)
         for state, path in paths.items()
-        if classify(state) is StateType.TYPE_I
+        if state.phase == PHASE_SYSTEM
     ]
     if limit_depth:
         stack = [(aobs.initial, [])]
         while stack:
             state, path = stack.pop()
-            if classify(state) is StateType.TYPE_I:
+            if state.phase == PHASE_SYSTEM:
                 out.append((path, state))
             if len(path) >= limit_depth:
                 continue

@@ -19,18 +19,6 @@ from stateattack import (
 EVENTS = frozenset("abcd")
 
 
-def plain(k):
-    return GameCounter.plain(k)
-
-
-def waiting(k):
-    return GameCounter.waiting(k)
-
-
-def attacking(k):
-    return GameCounter.attacking(k)
-
-
 # --- attacked plant ----------------------------------------------------------
 
 
@@ -106,16 +94,16 @@ def test_game_counter_rejects_bad_fields(count, tag, message):
 def test_number_attack_model_budget_one():
     model = number_attack_model(EVENTS, 1)
     assert model.states == frozenset(
-        {plain(0), plain(1), waiting(0), waiting(1), attacking(0)}
+        GameCounter(count, tag) for count, tag in [(0, ""), (1, ""), (0, "N"), (1, "N"), (0, "Y")]
     )
     assert {str(s) for s in model.states} == {"0", "1", "0N", "1N", "0Y"}
-    assert model.initial == plain(0)
+    assert model.initial == GameCounter(0)
 
 
 def test_number_attack_model_budget_zero_has_no_pending_states():
     model = number_attack_model(EVENTS, 0)
-    assert model.states == frozenset({plain(0), waiting(0)})
-    assert model.step(plain(0), "Y") is None
+    assert model.states == frozenset({GameCounter(0), GameCounter(0, "N")})
+    assert model.step(GameCounter(0), "Y") is None
 
 
 def test_number_attack_model_size_is_linear_in_budget():
@@ -126,14 +114,14 @@ def test_number_attack_model_size_is_linear_in_budget():
 
 def test_number_attack_model_transition_families():
     model = number_attack_model(EVENTS, 2)
-    assert model.step(plain(0), "Y") == attacking(0)
-    assert model.step(plain(2), "Y") is None
-    assert model.step(plain(2), "N") == waiting(2)
-    assert model.step(attacking(0), "0") == plain(1)
-    assert model.step(attacking(1), "1") == plain(2)
-    assert model.step(waiting(1), "a") == plain(1)
-    assert model.step(plain(1), "a") == plain(1)
-    assert model.step(plain(0), "a") is None  # events wait for the first decision
+    assert model.step(GameCounter(0), "Y") == GameCounter(0, "Y")
+    assert model.step(GameCounter(2), "Y") is None
+    assert model.step(GameCounter(2), "N") == GameCounter(2, "N")
+    assert model.step(GameCounter(0, "Y"), "0") == GameCounter(1)
+    assert model.step(GameCounter(1, "Y"), "1") == GameCounter(2)
+    assert model.step(GameCounter(1, "N"), "a") == GameCounter(1)
+    assert model.step(GameCounter(1), "a") == GameCounter(1)
+    assert model.step(GameCounter(0), "a") is None  # events wait for the first decision
 
 
 def test_number_attack_model_rejects_negative_budget():
@@ -189,26 +177,26 @@ def test_bounded_game_structure_phase_counter_consistency(budget):
     product = bounded_game_structure(EVENTS, budget)
     for phase, counter in product.states:
         if phase == "A":
-            assert counter.is_plain
+            assert counter.tag == ""
         elif phase == "AY":
-            assert counter.is_attacking
+            assert counter.tag == "Y"
         else:
-            assert counter.is_waiting or (counter.is_plain and counter.count >= 1)
+            assert counter.tag == "N" or (counter.tag == "" and counter.count >= 1)
 
 
 def test_bounded_game_structure_counts_completed_attacks():
     product = bounded_game_structure(EVENTS, 3)
     for ((phase, counter), label), (nphase, ncounter) in product.transitions.items():
         if label == "Y":
-            assert counter.is_plain and counter.count < 3
-            assert ncounter == attacking(counter.count)
+            assert counter.tag == "" and counter.count < 3
+            assert ncounter == GameCounter(counter.count, "Y")
         elif label == "N":
-            assert ncounter == waiting(counter.count)
+            assert ncounter == GameCounter(counter.count, "N")
         elif label in ("0", "1"):
-            assert counter.is_attacking
-            assert ncounter == plain(counter.count + 1)
+            assert counter.tag == "Y"
+            assert ncounter == GameCounter(counter.count + 1)
         else:
-            assert ncounter == plain(counter.count)
+            assert ncounter == GameCounter(counter.count)
 
 
 # --- attack description ------------------------------------------------------

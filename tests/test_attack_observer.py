@@ -1,5 +1,5 @@
 """The attack-observer game graph: the worklist builder against the paper's
-composed construction, fixture sizes, transition chains, state typing, and
+composed construction, fixture sizes, transition chains, phases, and
 the estimate-filtering semantics cross-checked against the direct trace
 evaluation."""
 
@@ -22,13 +22,13 @@ from stateattack import (
     AttackSpec,
     GameCounter,
     Nfa,
-    StateType,
+    PHASE_AWAIT,
+    PHASE_DECIDE,
+    PHASE_SYSTEM,
     StateEstimate,
     build_attack_observer,
     check_enforced,
     check_violation,
-    classify,
-    enabled_in_aobs,
     filtered_estimate,
     intermediate_violating_fixpoint,
     parse_model,
@@ -78,7 +78,7 @@ def test_builder_matches_composition_on_samples(spec):
 
 
 def await_states(aobs):
-    return [s for s in aobs.states if classify(s) is StateType.TYPE_II]
+    return [s for s in aobs.states if s.phase == PHASE_AWAIT]
 
 
 def test_builder_budget_zero_never_attacks(plant):
@@ -236,28 +236,18 @@ def test_preds_invert_the_targets(aobs_24, attack_24):
     assert any(len(sources) > len(set(sources)) for sources in aobs_24.preds)
 
 
-def test_classify_by_phase():
-    assert classify(aob("S", "1", "3")) is StateType.TYPE_I
-    assert classify(aob("AY", "0Y", "2,3")) is StateType.TYPE_II
-    assert classify(aob("A", "0", "1,10")) is StateType.TYPE_III
-
-
-def test_enabled_in_aobs_fixture(aobs_24):
-    assert enabled_in_aobs(aobs_24, aob("S", "0N", "1,10")) == frozenset({"a", "d"})
+def test_enabled_fixture(aobs_24):
+    assert aobs_24.enabled(aob("S", "0N", "1,10")) == frozenset({"a", "d"})
     # {1,10} misses the attacked set entirely, so only result 0 is possible
-    assert enabled_in_aobs(aobs_24, aob("AY", "0Y", "1,10")) == frozenset({"0"})
+    assert aobs_24.enabled(aob("AY", "0Y", "1,10")) == frozenset({"0"})
     assert aobs_24.step(aob("AY", "0Y", "1,10"), "0") == aob("S", "1", "1,10")
+    assert aobs_24.enabled(aob("S", "1N", "1")) == frozenset()  # no node of the graph
 
 
-def test_enabled_in_aobs_deadlocked_estimate():
+def test_enabled_deadlocked_estimate():
     g = Nfa(["x"], ["a"], [], ["x"])
     aobs = build_attack_observer(g, AttackSpec(frozenset(), 0))
-    assert enabled_in_aobs(aobs, aob("S", "0N", "x")) == frozenset()
-
-
-def test_enabled_in_aobs_rejects_foreign_state(aobs_24):
-    with pytest.raises(ValueError):
-        enabled_in_aobs(aobs_24, aob("S", "1N", "1"))
+    assert aobs.enabled(aob("S", "0N", "x")) == frozenset()
 
 
 def test_build_propagates_attack_validation_errors(plant):
@@ -273,9 +263,9 @@ def test_phase_determines_outgoing_labels(index, instances):
     aobs = build_attack_observer(plant, attack)
     for state in aobs.states:
         labels = aobs.enabled(state)
-        if classify(state) is StateType.TYPE_III:
+        if state.phase == PHASE_DECIDE:
             assert labels <= {"Y", "N"}
-        elif classify(state) is StateType.TYPE_II:
+        elif state.phase == PHASE_AWAIT:
             assert labels <= {"0", "1"} and labels
         else:
             assert labels <= plant.events
@@ -288,8 +278,8 @@ def test_budget_bookkeeping_and_state_bound(index, instances):
     assert len(aobs.states) <= (4 * attack.budget + 2) * 2 ** len(plant.states)
     for (src, label), dst in aobs.transitions.items():
         if label == "Y":
-            assert src.counter.is_plain and src.counter.count < attack.budget
-            assert dst.counter.count == src.counter.count and dst.counter.is_attacking
+            assert src.counter.tag == "" and src.counter.count < attack.budget
+            assert dst.counter.count == src.counter.count and dst.counter.tag == "Y"
         elif label in ("0", "1"):
             assert dst.counter.count == src.counter.count + 1
 
@@ -324,7 +314,7 @@ def test_estimates_match_direct_trace_evaluation(index, instances):
     plant, attack = instances[index]
     aobs = build_attack_observer(plant, attack)
     for state, path in witness_paths(aobs).items():
-        if classify(state) is not StateType.TYPE_I:
+        if state.phase != PHASE_SYSTEM:
             continue
         trace = AttackTrace.from_labels(path, plant.events)
         assert filtered_estimate(plant, attack, trace) == state.estimate

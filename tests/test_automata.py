@@ -1,8 +1,7 @@
-"""Automaton core: estimates, reachability, observer, composition, and the
-attack-free anonymity/opacity checks."""
+"""Automaton core: estimates, observer, composition, and the attack-free
+anonymity/opacity checks."""
 
 import itertools
-import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,11 +13,9 @@ from stateattack import (
     Dfa,
     Nfa,
     StateEstimate,
-    accessible_part,
     check_anonymity_classic,
     check_opacity_classic,
     compose,
-    enabled_events,
     game_structure,
     number_attack_model,
     observer,
@@ -96,49 +93,6 @@ def test_estimate_membership_helpers():
     assert not e.issubset({"1"})
 
 
-# --- accessible part ---------------------------------------------------------
-
-
-def test_accessible_part_drops_isolated_state():
-    g = Nfa(["1", "2", "3"], ["a"], [("1", "a", "2")], ["1"])
-    trimmed = accessible_part(g)
-    assert trimmed.states == frozenset({"1", "2"})
-    assert trimmed.initial == g.initial
-
-
-def test_accessible_part_identity_on_connected():
-    g = ten_state_plant()
-    trimmed = accessible_part(g)
-    assert trimmed.states == g.states
-    assert trimmed.transitions == g.transitions
-
-
-def test_accessible_part_matches_bfs_oracle():
-    rng = random.Random(7)
-    for _ in range(25):
-        states = [str(i) for i in range(8)]
-        transitions = {
-            (rng.choice(states), rng.choice("ab"), rng.choice(states)) for _ in range(10)
-        }
-        g = Nfa(states, ["a", "b"], transitions, [rng.choice(states)])
-        # independent BFS over the raw relation
-        seen = set(g.initial)
-        frontier = list(g.initial)
-        while frontier:
-            s = frontier.pop()
-            for src, _ev, dst in g.transitions:
-                if src == s and dst not in seen:
-                    seen.add(dst)
-                    frontier.append(dst)
-        assert accessible_part(g).states == frozenset(seen)
-
-
-def test_accessible_part_dfa():
-    d = Dfa(["p", "q", "r"], ["x"], {("p", "x"): "q"}, "p")
-    trimmed = accessible_part(d)
-    assert trimmed.states == frozenset({"p", "q"})
-
-
 # --- observer ----------------------------------------------------------------
 
 
@@ -209,7 +163,7 @@ def test_compose_game_and_counter_budget_one_fragment():
 
 
 def test_compose_neutral_single_state():
-    g = accessible_part(ten_state_plant())
+    g = ten_state_plant()
     unit = Nfa(["u"], [], [], ["u"])
     product = compose(g, unit)
     assert product.states == frozenset((s, "u") for s in g.states)
@@ -245,26 +199,6 @@ def test_compose_symmetric_up_to_swap(g1, g2):
     swap = lambda pair: (pair[1], pair[0])
     assert {swap(s) for s in left.states} == right.states
     assert {(swap(s), e, swap(t)) for (s, e, t) in left.transitions} == right.transitions
-
-
-# --- enabled events ----------------------------------------------------------
-
-
-def test_enabled_events_fixture_values():
-    g = ten_state_plant()
-    assert enabled_events(g, est("1,10")) == frozenset({"a", "d"})
-    assert enabled_events(g, est("2,3")) == frozenset({"b", "c"})
-
-
-def test_enabled_events_deadlocked_set():
-    g = Nfa(["s", "t"], ["a"], [("s", "a", "t")], ["s"])
-    assert enabled_events(g, est("t")) == frozenset()
-
-
-def test_enabled_events_rejects_foreign_states():
-    g = ten_state_plant()
-    with pytest.raises(ValueError):
-        enabled_events(g, est("11"))
 
 
 # --- attack-free checks ------------------------------------------------------

@@ -49,8 +49,7 @@ def test_observer_report(capsys, model_path):
 
 def test_check_classic_report(capsys, model_path):
     code, out = run(
-        capsys, "check-classic", "--model", model_path,
-        "--attacked", "", "--budget", "0", "--mode", "opacity", "--secret", "7,8",
+        capsys, "check-classic", "--model", model_path, "--mode", "opacity", "--secret", "7,8",
     )
     report = json.loads(out)
     assert code == 0
@@ -193,6 +192,7 @@ def test_observer_out_file_is_the_report(capsys, tmp_path, model_path):
         ["observer", "--fail-on-violation"],
         ["build-aobs", "--fail-on-violation"],
         ["check-classic", "--format", "json"],
+        ["check-classic", "--budget", "0"],
         ["oracle", "--format", "json"],
     ],
 )

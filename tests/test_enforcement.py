@@ -1,23 +1,23 @@
-"""Enforcement analysis: per-type survival predicates, the pruning to the
-holdable region, its order-insensitivity, and the enforcement verdict."""
+"""Enforcement analysis: which states of each type the pruning holds, the
+pruning to the holdable region, its order-insensitivity, and the
+enforcement verdict."""
 
 import pytest
 
 from helpers import aob
 
 from stateattack import (
+    PHASE_AWAIT,
+    PHASE_SYSTEM,
     AttackObserver,
     AttackSpec,
     Nfa,
-    StateType,
     check_enforced,
     check_violation,
-    classify,
     final_verifier,
-    is_vulnerable_type1,
-    is_vulnerable_type2,
-    is_vulnerable_type3,
 )
+
+DEADLOCKED = Nfa(["x"], ["a"], [], ["x"])  # one state with no transition
 
 
 @pytest.fixture(scope="module")
@@ -30,43 +30,72 @@ def fv_2489(plant, attack_2489):
     return check_enforced(plant, attack_2489)[1]
 
 
+def closure_holds(sub: AttackObserver, state) -> bool:
+    """The paper's survival condition of a kept state: a system-move state
+    keeps every event the full graph enables, a result-wait state every
+    result it defines, and a decision state at least one decision."""
+    if state.phase == PHASE_SYSTEM:
+        return all(sub.step(state, e) is not None for e in sub.parent.enabled(state))
+    if state.phase == PHASE_AWAIT:
+        return all(
+            sub.step(state, r) is not None
+            for r in ("0", "1")
+            if sub.parent.step(state, r) is not None
+        )
+    return any(sub.step(state, d) is not None for d in ("Y", "N"))
+
+
+def held(v: AttackObserver, strict_paper: bool = False) -> frozenset:
+    return final_verifier(v, v.parent, strict_paper).states
+
+
 def test_type1_not_vulnerable_when_an_event_escapes(verifier_24):
     # d is enabled at {1,10} in the full graph but its target was pruned
-    assert not is_vulnerable_type1(verifier_24, aob("S", "0N", "1,10"))
+    state = aob("S", "0N", "1,10")
+    assert state in verifier_24.states
+    assert not closure_holds(verifier_24, state)
+    assert state not in held(verifier_24)
 
 
 def test_type1_vulnerable_when_all_events_stay(fv_2489):
-    assert is_vulnerable_type1(fv_2489, aob("S", "0N", "2,3"))
+    state = aob("S", "0N", "2,3")
+    assert state in fv_2489.states
+    assert closure_holds(fv_2489, state)
 
 
 def test_type1_vacuously_vulnerable_when_deadlocked():
-    g = Nfa(["x"], ["a"], [], ["x"])
-    attack = AttackSpec(frozenset(), 0)
-    _, verifier = check_violation(g, attack)
-    assert is_vulnerable_type1(verifier, aob("S", "0N", "x"))
+    _, verifier = check_violation(DEADLOCKED, AttackSpec(frozenset(), 0))
+    assert aob("S", "0N", "x") in held(verifier)
 
 
 def test_type2_vulnerable_when_both_results_stay(fv_2489):
-    assert is_vulnerable_type2(fv_2489, fv_2489.parent, aob("AY", "0Y", "4,5"))
+    state = aob("AY", "0Y", "4,5")
+    assert fv_2489.enabled(state) == frozenset({"0", "1"})
+    assert closure_holds(fv_2489, state)
 
 
 def test_type2_readings_differ_after_pruning_a_result(fv_2489):
     pruned = fv_2489.parent.restrict(fv_2489.states - {aob("S", "1", "5")})
     state = aob("AY", "0Y", "4,5")
-    assert not is_vulnerable_type2(pruned, pruned.parent, state)
-    assert is_vulnerable_type2(pruned, pruned.parent, state, strict_paper=True)
+    assert not closure_holds(pruned, state)
+    assert state not in held(pruned)
+    assert state in held(pruned, strict_paper=True)
 
 
 def test_type3_vulnerable_through_either_decision(fv_2489):
-    assert is_vulnerable_type3(fv_2489, aob("A", "0", "4,5"))   # attack works
-    assert is_vulnerable_type3(fv_2489, aob("A", "0", "1,10"))  # declining works
+    # attacking keeps the intruder inside at {4,5}, declining at {1,10}
+    assert fv_2489.step(aob("A", "0", "4,5"), "Y") == aob("AY", "0Y", "4,5")
+    assert fv_2489.enabled(aob("A", "0", "1,10")) == frozenset({"N"})
 
 
 def test_type3_not_vulnerable_with_both_successors_pruned(fv_2489):
     pruned = fv_2489.parent.restrict(
         fv_2489.states - {aob("S", "0N", "4,5"), aob("AY", "0Y", "4,5")}
     )
-    assert not is_vulnerable_type3(pruned, aob("A", "0", "4,5"))
+    state = aob("A", "0", "4,5")
+    assert state in pruned.states
+    assert not closure_holds(pruned, state)
+    assert state not in held(pruned)
 
 
 def test_final_verifier_empty_for_narrow_attack_set(plant, attack_24):
@@ -118,19 +147,6 @@ def test_enforced_implies_violating(instances):
         assert fv.states <= verifier.states
 
 
-def closure_holds(sub: AttackObserver, state) -> bool:
-    kind = classify(state)
-    if kind is StateType.TYPE_I:
-        return all(sub.step(state, e) is not None for e in sub.parent.enabled(state))
-    if kind is StateType.TYPE_II:
-        return all(
-            sub.step(state, r) is not None
-            for r in ("0", "1")
-            if sub.parent.step(state, r) is not None
-        )
-    return any(sub.step(state, d) is not None for d in ("Y", "N"))
-
-
 def test_final_verifier_closure(fv_2489, instances):
     for state in fv_2489.states:
         assert closure_holds(fv_2489, state)
@@ -150,13 +166,12 @@ def greatest_closed_restriction(verifier: AttackObserver, strict_paper: bool = F
         changed = False
         for state in sorted(kept, reverse=True):
             # evaluate the closure on the raw kept set, not the reachable part
-            kind = classify(state)
-            if kind is StateType.TYPE_I:
+            if state.phase == PHASE_SYSTEM:
                 ok = all(
                     verifier.step(state, e) in kept
                     for e in verifier.parent.enabled(state)
                 )
-            elif kind is StateType.TYPE_II:
+            elif state.phase == PHASE_AWAIT:
                 ok = strict_paper or all(
                     verifier.step(state, r) in kept
                     for r in ("0", "1")
@@ -173,7 +188,8 @@ def greatest_closed_restriction(verifier: AttackObserver, strict_paper: bool = F
 
 @pytest.mark.parametrize("strict_paper", [False, True])
 def test_pruning_is_order_insensitive(plant, attack_24, attack_2489, instances, strict_paper):
-    cases = [(plant, attack_24), (plant, attack_2489)] + list(instances[:30])
+    cases = [(plant, attack_24), (plant, attack_2489), (DEADLOCKED, AttackSpec(frozenset(), 0))]
+    cases += instances[:30]
     for case_plant, case_attack in cases:
         _, verifier = check_violation(case_plant, case_attack)
         fv = final_verifier(verifier, verifier.parent, strict_paper)

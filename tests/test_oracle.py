@@ -231,12 +231,6 @@ def test_oracle_enforced_fixture_verdicts():
     assert oracle_check_enforced(g, AttackSpec(frozenset({"2", "4", "8", "9"}), 1))
 
 
-def test_oracle_enforced_depth_default_converges():
-    g = ten_state_plant()
-    attack = AttackSpec(frozenset({"2", "4", "8", "9"}), 1)
-    assert oracle_check_enforced(g, attack) == oracle_check_enforced(g, attack, depth=10_000)
-
-
 def test_oracle_violation_horizon_default_is_unbounded(instances):
     for g, attack in instances:
         assert oracle_check_violation(g, attack) == oracle_check_violation(g, attack, 10_000)

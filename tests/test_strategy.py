@@ -26,8 +26,8 @@ from stateattack import (
     synthesize_strategy,
     validate_strategy,
 )
-from stateattack.aobs import AObsState, StateType, classify
-from stateattack.attackmodel import EPSILON
+from stateattack.aobs import AObsState
+from stateattack.attackmodel import EPSILON, PHASE_DECIDE, PHASE_SYSTEM
 from stateattack.violation import violation_predicate
 
 
@@ -79,7 +79,7 @@ def value_iteration_ranks(fv, attack) -> dict:
     0 at violating system-move states, 1 + min at decision states, 1 + max
     elsewhere, and infinite where no value is ever resolved."""
     def violating(state):
-        return classify(state) is StateType.TYPE_I and violation_predicate(state.estimate, attack)
+        return state.phase == PHASE_SYSTEM and violation_predicate(state.estimate, attack)
 
     ranks = {state: 0 if violating(state) else math.inf for state in fv.states}
     changed = True
@@ -89,7 +89,7 @@ def value_iteration_ranks(fv, attack) -> dict:
             successors = [ranks[fv.step(state, label)] for label in fv.enabled(state)]
             if violating(state) or not successors:
                 continue
-            best = min if classify(state) is StateType.TYPE_III else max
+            best = min if state.phase == PHASE_DECIDE else max
             value = 1 + best(successors)
             if value < ranks[state]:
                 ranks[state] = value

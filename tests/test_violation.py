@@ -6,13 +6,14 @@ from helpers import ATTACK_24, aob, est
 from stateattack import (
     AttackSpec,
     Nfa,
-    StateType,
+    PHASE_AWAIT,
+    PHASE_DECIDE,
+    PHASE_SYSTEM,
     build_attack_observer,
     build_verifier,
     check_anonymity_classic,
     check_opacity_classic,
     check_violation,
-    classify,
     intermediate_violating_fixpoint,
     violation_predicate,
     witness_labels,
@@ -110,9 +111,9 @@ class GameClosureOracle:
     def expects(self, state) -> bool:
         members = frozenset(state.estimate)
         used = state.counter.count
-        if classify(state) is StateType.TYPE_III:
+        if state.phase == PHASE_DECIDE:
             return (members, used) in self.decision_wins
-        if classify(state) is StateType.TYPE_II:
+        if state.phase == PHASE_AWAIT:
             return all(
                 self._system_wins(part, used + 1, self.decision_wins)
                 for part in self.parts(members)
@@ -140,13 +141,13 @@ def sweep_schedule_closure(aobs, attack):
     type1 = {
         s
         for s in aobs.states
-        if classify(s) is StateType.TYPE_I and violation_predicate(s.estimate, attack)
+        if s.phase == PHASE_SYSTEM and violation_predicate(s.estimate, attack)
     }
     while True:
         type2 = {
             s
             for s in aobs.states
-            if classify(s) is StateType.TYPE_II
+            if s.phase == PHASE_AWAIT
             and all(
                 aobs.step(s, r) in type1
                 for r in ("0", "1")
@@ -156,13 +157,13 @@ def sweep_schedule_closure(aobs, attack):
         type3 = {
             s
             for s in aobs.states
-            if classify(s) is StateType.TYPE_III
+            if s.phase == PHASE_DECIDE
             and any(aobs.step(s, d) in type1 | type2 for d in ("Y", "N"))
         }
         new1 = {
             s
             for s in aobs.states
-            if classify(s) is StateType.TYPE_I
+            if s.phase == PHASE_SYSTEM
             and s not in type1
             and any(aobs.step(s, e) in type3 for e in aobs.enabled(s))
         }
