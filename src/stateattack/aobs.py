@@ -37,6 +37,7 @@ from .attackmodel import (
 from .automata import Nfa, StateEstimate, _natural_key
 
 _EMPTY: frozenset = frozenset()
+_REACHED = bytes([0, 0, 1]) + bytes(253)  # ``restrict_ids``' marks -> kept flags
 _counter = functools.cache(GameCounter)  # (count, tag) -> its one GameCounter, in every graph
 
 
@@ -72,7 +73,8 @@ class AttackObserver:
 
     A restriction to part of the nodes (``restrict``, ``restrict_ids``) is
     again an ``AttackObserver`` over the same lists: it keeps the ids in
-    ``ids``, flags them in ``kept``, and copies no transitions. Its
+    ``ids``, flags them in ``kept``, counts the transitions each keeps in
+    ``degree`` (0 at an id it does not keep), and copies no transitions. Its
     ``parent`` is the full graph (the full graph is its own parent), and it
     is empty when it keeps no initial node.
     """
@@ -100,6 +102,7 @@ class AttackObserver:
         self.initial_id: int | None = initial
         self.ids = range(len(nodes))
         self.kept = bytearray(b"\x01") * len(nodes)
+        self.degree = list(map(len, targets))  # id -> its transitions kept here
         self._parent = None  # the full graph holds no cycle to itself
         # Shared with every restriction, so a node has one object everywhere.
         self._objects: list = [None] * len(nodes)  # id -> AObsState, made on demand
@@ -142,8 +145,7 @@ class AttackObserver:
     @property
     def n_transitions(self) -> int:
         """The number of transitions kept here."""
-        kept, targets = self.kept, self.targets
-        return sum(kept[j] for i in self.ids for j in targets[i])
+        return sum(self.degree)
 
     def target(self, i: int, label: str) -> int | None:
         """The id ``label`` leads to from ``i`` here, or None."""
@@ -157,27 +159,34 @@ class AttackObserver:
     def restrict_ids(self, keep: Iterable[int]) -> "AttackObserver":
         """The part of this graph reachable from its initial node inside
         ``keep``, a collection of node ids."""
-        inside = bytearray(len(self.kept))
+        mark = bytearray(len(self.kept))  # 1: inside, not reached; 2: reached
+        kept = self.kept
         for i in keep:
-            inside[i] = self.kept[i]
+            mark[i] = kept[i]
+        targets = self.targets
+        degree = [0] * len(mark)
         start = self.initial_id
-        reached = [start] if start is not None and inside[start] else []
+        reached = [start] if start is not None and mark[start] else []
         if reached:
-            inside[start] = 0  # a reached id leaves ``inside``, so it is reached once
+            mark[start] = 2
         for i in reached:  # grows while it is walked: breadth first
-            for j in self.targets[i]:
-                if inside[j]:
-                    inside[j] = 0
-                    reached.append(j)
+            n = 0
+            for j in targets[i]:
+                seen = mark[j]
+                if seen:  # inside: every inside target of a reached id is reached
+                    n += 1
+                    if seen == 1:
+                        mark[j] = 2
+                        reached.append(j)
+            degree[i] = n
         base = self.parent
         view = copy.copy(base)  # shares the lists and caches of the full graph
         for name in ("states", "transitions"):  # the full graph's cached views
             view.__dict__.pop(name, None)
         view._parent, view.ids = base, reached
         view.initial_id = start if reached else None
-        view.kept = bytearray(len(base.kept))
-        for i in reached:
-            view.kept[i] = 1
+        view.kept = mark.translate(_REACHED)
+        view.degree = degree
         return view
 
     # --- the state-level view ------------------------------------------------

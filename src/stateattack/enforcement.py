@@ -18,13 +18,11 @@ def final_verifier(v: AttackObserver, aobs: AttackObserver, strict_paper: bool =
     from a result-wait state by any result, or never with ``strict_paper``;
     a decision state expels the intruder when all of its decisions do.
     """
-    need = [0] * len(v.kept)
-    for i in v.ids:
-        phase = v.phase[i]
-        if phase == PHASE_DECIDE:
-            need[i] = len(aobs.kept_targets(i))
-        elif phase == PHASE_SYSTEM or not strict_paper:
-            need[i] = 1
+    await_need = 0 if strict_paper else 1
+    need = [
+        (d if p == PHASE_DECIDE else 1 if p == PHASE_SYSTEM else await_need) if k else 0
+        for p, d, k in zip(v.phase, aobs.degree, v.kept)
+    ]
     expelled = attractor(aobs, [i for i in aobs.ids if not v.kept[i]], need)
     held = [i for i in v.ids if i not in expelled]
     if len(held) == len(v.ids):

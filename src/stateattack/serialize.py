@@ -153,15 +153,30 @@ def strategy_edge_rows(strategy: MealyStrategy, names: dict) -> list:
 
 
 def serialize_strategy(strategy: MealyStrategy) -> str:
+    """The strategy document, {"budget", "edges", "initial", "policy",
+    "states"}, in the layout of ``json.dumps(document, indent=2,
+    ensure_ascii=False, sort_keys=True)`` plus a newline. It is written
+    directly, with the encoder's own string quoting, since ``indent`` sends
+    ``json.dumps`` to its pure-Python encoder."""
     names = strategy.names()
-    document = {
-        "initial": names[strategy.initial_id],
-        "states": list(names.values()),
-        "edges": strategy_edge_rows(strategy, names),
-        "policy": strategy.policy,
-        "budget": strategy.attack.budget,
-    }
-    return json.dumps(document, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
+    quote = json.encoder.encode_basestring
+    quoted = {i: quote(text) for i, text in names.items()}
+    edges = [
+        f'    {{\n      "from": {quoted[i]},\n      "input": {quote(event)},\n'
+        f'      "output": {quote(output)},\n      "to": {quoted[k]}\n    }}'
+        for i, event, output, k in strategy.id_edge_list(names)
+    ]
+    return (
+        f'{{\n  "budget": {strategy.attack.budget},\n  "edges": {_json_items(edges)},\n'
+        f'  "initial": {quoted[strategy.initial_id]},\n  "policy": {quote(strategy.policy)},\n'
+        f'  "states": {_json_items(["    " + text for text in quoted.values()])}\n}}\n'
+    )
+
+
+def _json_items(items: list) -> str:
+    """A JSON list of the indented ``items`` at depth 1 of a document with
+    ``indent=2``."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def _quote(text: str) -> str:

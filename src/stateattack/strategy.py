@@ -31,9 +31,7 @@ def rank_ids(fv: AttackObserver, attack: AttackSpec) -> dict:
     violating estimate, as ``{id: rank}``: violating system-move nodes are at
     0, decision nodes take the best decision, everything else the worst
     successor. Nodes from which a violation cannot be forced are left out."""
-    need = [0] * len(fv.kept)
-    for i in fv.ids:
-        need[i] = 1 if fv.phase[i] == PHASE_DECIDE else len(fv.kept_targets(i))
+    need = [k if p == PHASE_DECIDE else d for p, d, k in zip(fv.phase, fv.degree, fv.kept)]
     return attractor(fv.parent, violating_ids(fv, attack), need)
 
 

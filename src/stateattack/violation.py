@@ -22,30 +22,38 @@ def violation_predicate(estimate: StateEstimate, attack: AttackSpec) -> bool:
     return estimate.issubset(attack.secret)
 
 
-def mask_violates(graph: AttackObserver, attack: AttackSpec) -> Callable[[int], bool]:
-    """``violation_predicate`` as a test on the estimate masks of ``graph``:
-    one set bit (``m & (m - 1) == 0``) in anonymity mode, no bit outside the
-    secret set (``m & ~secret == 0``) in opacity mode."""
+def _violation_masks(graph: AttackObserver, attack: AttackSpec) -> tuple:
+    """``violation_predicate`` on the estimate masks of ``graph``, as the
+    pair (single, outside) for which a mask ``m`` violates exactly when
+    ``m & (m - 1 & single | outside) == 0``: one set bit in anonymity mode
+    (single = -1, outside = 0), no bit outside the secret set in opacity
+    mode (single = 0, outside = the bits of the other plant states)."""
     if attack.secret is None:
-        return lambda m: not m & (m - 1)
-    outside = ~graph.mask_of(attack.secret)
-    return lambda m: not m & outside
+        return -1, 0
+    return 0, ~graph.mask_of(attack.secret)
+
+
+def mask_violates(graph: AttackObserver, attack: AttackSpec) -> Callable[[int], bool]:
+    """``violation_predicate`` as a test on the estimate masks of ``graph``."""
+    single, outside = _violation_masks(graph, attack)
+    return lambda m: not m & (m - 1 & single | outside)
 
 
 def violating_ids(graph: AttackObserver, attack: AttackSpec) -> list:
     """The kept system-move nodes whose estimate mask violates."""
     phase, mask = graph.phase, graph.mask
-    violates = mask_violates(graph, attack)
-    return [i for i in graph.ids if phase[i] == PHASE_SYSTEM and violates(mask[i])]
+    single, outside = _violation_masks(graph, attack)
+    return [
+        i for i in graph.ids
+        if phase[i] == PHASE_SYSTEM and not (m := mask[i]) & (m - 1 & single | outside)
+    ]
 
 
 def violating_closure(aobs: AttackObserver, attack: AttackSpec) -> dict:
     """The intruder's attractor to the violating system-move nodes, as
     ``{id: rank}``: a result-wait node needs every defined result inside,
     any other node one transition."""
-    need = [0] * len(aobs.kept)
-    for i in aobs.ids:
-        need[i] = len(aobs.kept_targets(i)) if aobs.phase[i] == PHASE_AWAIT else 1
+    need = [d if p == PHASE_AWAIT else k for p, d, k in zip(aobs.phase, aobs.degree, aobs.kept)]
     return attractor(aobs, violating_ids(aobs, attack), need)
 
 

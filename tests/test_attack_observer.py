@@ -19,12 +19,15 @@ from helpers import (
 
 from stateattack import (
     AObsState,
+    AttackObserver,
     AttackSpec,
+    FIRST_VALID,
     GameCounter,
     Nfa,
     PHASE_AWAIT,
     PHASE_DECIDE,
     PHASE_SYSTEM,
+    RANKED,
     StateEstimate,
     build_attack_observer,
     check_enforced,
@@ -33,6 +36,8 @@ from stateattack import (
     intermediate_violating_fixpoint,
     parse_model,
     parse_spec,
+    rank_ids,
+    synthesize_strategy,
     witness_labels,
 )
 from stateattack.automata import enabled_index
@@ -221,6 +226,47 @@ def test_transition_count_follows_the_kept_transitions(instances):
             counts = len(graph.states), len(graph.transitions)
             assert graph.n_transitions == counts[1]
             assert repr(graph) == "AttackObserver(states={}, transitions={})".format(*counts)
+
+
+def test_degree_counts_the_kept_transitions(instances):
+    """On the full graph, the verifier and the final verifier in both
+    pruning modes."""
+    for plant, attack in instances:
+        verifier = check_violation(plant, attack)[1]
+        finals = [check_enforced(plant, attack, strict)[1] for strict in (False, True)]
+        for graph in (verifier.parent, verifier, *finals):
+            lengths = [len(graph.kept_targets(i)) for i in graph.ids]
+            assert [graph.degree[i] for i in graph.ids] == lengths
+            assert len(graph.degree) == len(graph.kept)
+            assert not any(d for d, kept in zip(graph.degree, graph.kept) if not kept)
+            assert graph.n_transitions == sum(lengths)
+
+
+def test_fixpoints_list_no_kept_transitions(instances, monkeypatch):
+    """The verdicts and the ranks seed their counters from ``degree``;
+    synthesis lists the transitions of each strategy state it expands, at
+    most once."""
+    calls = []
+    kept_targets = AttackObserver.kept_targets
+
+    def counting(self, i):
+        calls.append(i)
+        return kept_targets(self, i)
+
+    monkeypatch.setattr(AttackObserver, "kept_targets", counting)
+    for plant, attack in instances:
+        check_violation(plant, attack)
+        for strict in (False, True):
+            enforced, fv = check_enforced(plant, attack, strict)
+            if enforced:
+                rank_ids(fv, attack)
+            assert calls == []
+            if enforced:
+                for policy in (RANKED, FIRST_VALID):
+                    strategy = synthesize_strategy(fv, fv.parent, policy)
+                    assert len(calls) == len(set(calls)) <= len(strategy.ids)
+                    assert set(calls) <= strategy.ids
+                    calls.clear()
 
 
 def test_preds_invert_the_targets(aobs_24, attack_24):

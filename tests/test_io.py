@@ -9,7 +9,10 @@ from helpers import TEN_STATE_TRANSITIONS, ten_state_plant
 
 from stateattack import (
     AttackSpec,
+    FIRST_VALID,
     InputError,
+    Nfa,
+    RANKED,
     check_enforced,
     check_violation,
     export_dot,
@@ -21,8 +24,10 @@ from stateattack import (
     serialize_strategy,
     synthesize_strategy,
 )
+from stateattack.serialize import strategy_edge_rows
 
 GOLDEN = Path(__file__).parent / "golden"
+SAMPLES = Path(__file__).parent.parent / "samples"
 
 
 def model_text() -> str:
@@ -145,6 +150,60 @@ def test_strategy_json_round_trip_fields():
     assert {"from": "(S,0N,{2,3})", "input": "b", "output": "Y1", "to": "(S,1,{4})"} in doc[
         "edges"
     ]
+
+
+def dumped_strategy(strategy) -> str:
+    """The strategy document as ``json.dumps`` writes it."""
+    names = strategy.names()
+    document = {
+        "initial": names[strategy.initial_id],
+        "states": list(names.values()),
+        "edges": strategy_edge_rows(strategy, names),
+        "policy": strategy.policy,
+        "budget": strategy.attack.budget,
+    }
+    return json.dumps(document, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
+
+
+def test_strategy_json_matches_json_dumps_on_corpus(instances):
+    written = 0
+    for plant, attack in instances:
+        enforced, fv = check_enforced(plant, attack)
+        if enforced:
+            for policy in (RANKED, FIRST_VALID):
+                strategy = synthesize_strategy(fv, fv.parent, policy)
+                assert serialize_strategy(strategy) == dumped_strategy(strategy)
+                written += 1
+    assert written > 100
+
+
+def test_strategy_json_escapes_like_json_dumps():
+    # Quotes, backslashes and non-ASCII letters in state and event names.
+    states = ['q"0', "q\\1", "é2", 'ü"\\3']
+    plant = Nfa(
+        states,
+        ["ß", "e"],
+        [('q"0', "ß", "q\\1"), ('q"0', "ß", "é2"), ("é2", "e", 'ü"\\3'), ("q\\1", "e", 'q"0')],
+        ['q"0', "é2"],
+    )
+    enforced, fv = check_enforced(plant, AttackSpec(frozenset({'q"0', "q\\1"}), 1))
+    assert enforced
+    for policy in (RANKED, FIRST_VALID):
+        strategy = synthesize_strategy(fv, fv.parent, policy)
+        text = serialize_strategy(strategy)
+        assert text == dumped_strategy(strategy)
+        assert "é" in text and '\\"' in text and "\\\\" in text
+
+
+def test_strategy_json_of_a_strategy_without_edges():
+    model = parse_model((SAMPLES / "model.json").read_text())
+    attack = parse_spec((SAMPLES / "attack-opacity.json").read_text(), model)
+    enforced, fv = check_enforced(model, attack, strict_paper=True)
+    strategy = synthesize_strategy(fv, fv.parent)
+    assert enforced and len(strategy.ids) == 1 and strategy.n_edges == 0
+    text = serialize_strategy(strategy)
+    assert text == dumped_strategy(strategy)
+    assert '"edges": [],' in text
 
 
 def test_observer_dot_renders_estimates():
