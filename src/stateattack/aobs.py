@@ -106,8 +106,9 @@ class AttackObserver:
         self._parent = None  # the full graph holds no cycle to itself
         # Shared with every restriction, so a node has one object everywhere.
         self._objects: list = [None] * len(nodes)  # id -> AObsState, made on demand
-        self._index: dict = {}  # (phase, count, tag, mask) -> id, filled on first lookup
         self._estimates: dict = {}  # mask -> its one StateEstimate
+        # Built on first use and kept by the full graph (see ``parent``).
+        self._index: dict | None = None  # (phase, count, tag, mask) -> id
         self._preds: list | None = None
 
     @property
@@ -223,9 +224,10 @@ class AttackObserver:
         """The id of ``state`` in this graph, or None when it is not here.
         The lookup goes through the node's (phase, count, tag, mask) key, so
         it makes no ``AObsState`` objects."""
-        index = self._index
-        if not index:
-            index.update((key, i) for i, key in enumerate(zip(self.phase, self.count, self.tag, self.mask)))
+        base = self.parent
+        index = base._index
+        if index is None:
+            index = base._index = dict(zip(zip(self.phase, self.count, self.tag, self.mask), base.ids))
         counter = state.counter
         try:
             key = (state.phase, counter.count, counter.tag, self.mask_of(state.estimate))

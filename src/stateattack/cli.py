@@ -6,9 +6,10 @@ artifact to write, ``--fail-on-violation`` where it checks a property.
 
 Exit codes: 0 when the analysis ran (whatever the verdict), 1 only when
 --fail-on-violation is set and the checked property is violated/enforced,
-2 on malformed input, 3 when the synthesized strategy does not cover a
-reachable play, 4 on any other error. Errors are reported as one
-``error: ...`` line on stderr, never as a traceback.
+2 on malformed input or a path that cannot be read or written, 3 when the
+synthesized strategy does not cover a reachable play, 4 on any other error.
+Errors are reported as one ``error: ...`` line on stderr, never as a
+traceback.
 """
 
 from __future__ import annotations
@@ -125,6 +126,13 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _names(flag: str | None) -> list:
     """The names in a comma-separated flag value."""
     return [name.strip() for name in (flag or "").split(",") if name.strip()]
@@ -176,7 +184,7 @@ def _emit(report: dict, args, graph=None, name: str = "") -> None:
             artifact = serialize_strategy(graph)
         else:
             artifact = text + "\n"
-        Path(args.out).write_text(artifact, encoding="utf-8")
+        _write(args.out, artifact)
     print(text)
 
 
@@ -292,6 +300,8 @@ def _dispatch(args) -> int:
         return 1 if args.fail_on_violation else 0
 
     if command == "simulate":
+        if args.max_rounds < 1:  # whatever the verdict would be
+            raise InputError("max_rounds must be at least 1")
         strategy, _ = _strategy_for(model, attack, args)
         if strategy is None:
             _emit({"command": command, "enforced": False, "outcome": None}, args)
@@ -352,7 +362,7 @@ def _export_stage(model: Nfa, attack: AttackSpec, args) -> int:
         strategy, fv = _strategy_for(model, attack, args)
         dot = export_dot(strategy if strategy is not None else fv, "strategy")
     if args.out:
-        Path(args.out).write_text(dot, encoding="utf-8")
+        _write(args.out, dot)
         print(json.dumps({"command": "export-dot", "stage": stage, "written": args.out}))
     else:
         print(dot, end="")

@@ -7,8 +7,8 @@ from __future__ import annotations
 import functools
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from .aobs import AObsState, AttackObserver, attractor
 from .attackmodel import ATTACK_NO, ATTACK_YES, EPSILON, PHASE_DECIDE, RESULT_LABELS, AttackSpec
@@ -35,11 +35,32 @@ def rank_ids(fv: AttackObserver, attack: AttackSpec) -> dict:
     return attractor(fv.parent, violating_ids(fv, attack), need)
 
 
-def compute_ranks(fv: AttackObserver, attack: AttackSpec) -> dict:
-    """``rank_ids`` over every kept state, as ``{AObsState: rank}``, with an
-    infinite rank where a violation cannot be forced."""
-    ranks = rank_ids(fv, attack)
-    return {fv.state_of(i): ranks.get(i, INFINITE_RANK) for i in fv.ids}
+def compute_ranks(fv: AttackObserver, attack: AttackSpec) -> Mapping:
+    """``rank_ids`` over every kept state, as a read-only ``{AObsState:
+    rank}`` mapping, with an infinite rank where a violation cannot be
+    forced. It makes state objects only for the keys read or iterated."""
+    return _StateRanks(fv, rank_ids(fv, attack))
+
+
+class _StateRanks(Mapping):
+    """The ranks of ``fv``'s kept states, looked up through ``fv.id_of``:
+    any other key, a state ``fv`` does not keep or no ``AObsState`` at all,
+    is absent."""
+
+    def __init__(self, fv: AttackObserver, ranks: dict):
+        self._fv, self._ranks = fv, ranks
+
+    def __getitem__(self, state):
+        i = self._fv.id_of(state) if isinstance(state, AObsState) else None
+        if i is None:
+            raise KeyError(state)
+        return self._ranks.get(i, INFINITE_RANK)
+
+    def __iter__(self):
+        return map(self._fv.state_of, self._fv.ids)
+
+    def __len__(self) -> int:
+        return len(self._fv.ids)
 
 
 @dataclass

@@ -32,6 +32,7 @@ from stateattack import (
     build_attack_observer,
     check_enforced,
     check_violation,
+    compute_ranks,
     filtered_estimate,
     intermediate_violating_fixpoint,
     parse_model,
@@ -186,6 +187,7 @@ def test_verdicts_make_no_state_objects_until_asked(plant, attack_2489, monkeypa
     assert violated and enforced and witness_labels(verifier, attack_2489)
     assert made == []
     initial = fv.initial
+    assert compute_ranks(fv, attack_2489)[initial] == 6  # looked up, not made
     assert made.count("AObsState") == 1
     assert len(fv.states) == 27 and made.count("AObsState") == 27  # once per node
     assert fv.initial is initial is fv.parent.initial

@@ -139,14 +139,15 @@ def test_simulate_report(capsys, model_path):
 
 @pytest.mark.parametrize("rounds", ["0", "-3"])
 def test_simulate_without_rounds_exits_2(capsys, model_path, rounds):
-    code = main([
-        "simulate", "--model", model_path, "--attacked", "2,4,8,9", "--budget", "1",
-        "--max-rounds", rounds,
-    ])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == "error: max_rounds must be at least 1\n"
+    for attacked in ("2,4,8,9", "2,4"):  # enforced, and not enforced
+        code = main([
+            "simulate", "--model", model_path, "--attacked", attacked, "--budget", "1",
+            "--max-rounds", rounds,
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: max_rounds must be at least 1\n"
 
 
 def test_oracle_report(capsys, model_path, spec_path):
@@ -257,6 +258,17 @@ def test_input_errors_exit_2(capsys, tmp_path, model_path):
                "--attacked", "2", "--budget", "-1")[0] == 2
     assert run(capsys, "check-violation", "--model", model_path)[0] == 2  # no spec at all
     assert run(capsys, "observer", "--model", str(tmp_path / "missing.json"))[0] == 2
+
+
+@pytest.mark.parametrize("command", ["synthesize", "export-dot"])
+def test_unwritable_out_exits_2(capsys, tmp_path, command):
+    out = tmp_path / "missing" / "x.json"
+    code = main([command, "--model", str(SAMPLES / "model.json"),
+                 "--spec", str(SAMPLES / "attack-wide.json"), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from stateattack import (
     final_verifier,
     parse_model,
     parse_spec,
+    rank_ids,
     serialize_strategy,
     simulate_play,
     synthesize_strategy,
@@ -106,6 +107,30 @@ def test_ranks_match_value_iteration(fv_2489, attack_2489, instances):
     assert len(cases) > 20
     for fv, attack in cases:
         assert compute_ranks(fv, attack) == value_iteration_ranks(fv, attack)
+
+
+@pytest.mark.parametrize("strict_paper", [False, True])
+def test_ranks_view_equals_the_eager_dict(instances, strict_paper):
+    for plant, attack in instances:
+        fv = check_enforced(plant, attack, strict_paper)[1]
+        by_id = rank_ids(fv, attack)
+        eager = {fv.state_of(i): by_id.get(i, math.inf) for i in fv.ids}
+        ranks = compute_ranks(fv, attack)
+        assert dict(ranks) == eager
+        assert ranks == eager and len(ranks) == len(eager)
+
+
+def test_ranks_view_holds_only_kept_states(fv_2489, attack_2489):
+    ranks = compute_ranks(fv_2489, attack_2489)
+    full = fv_2489.parent
+    outside = next(full.state_of(i) for i in full.ids if not fv_2489.kept[i])
+    assert len(ranks) == len(fv_2489.ids) == 27 < len(full.ids)
+    for key in (outside, None, "x"):
+        assert key not in ranks
+        assert ranks.get(key) is None and ranks.get(key, -1) == -1
+        with pytest.raises(KeyError):
+            ranks[key]
+    assert fv_2489.initial in ranks and ranks.get(fv_2489.initial) == 6
 
 
 # --- synthesis ---------------------------------------------------------------
