@@ -36,7 +36,6 @@ from .attackmodel import (
 )
 from .automata import Nfa, StateEstimate, _natural_key
 
-_EMPTY: frozenset = frozenset()
 _REACHED = bytes([0, 0, 1]) + bytes(253)  # ``restrict_ids``' marks -> kept flags
 _counter = functools.cache(GameCounter)  # (count, tag) -> its one GameCounter, in every graph
 
@@ -68,22 +67,20 @@ class AttackObserver:
     algorithms run on these lists. ``AObsState`` objects, with their
     ``GameCounter`` and ``StateEstimate``, are made only when a caller asks
     for the state-level view (``states``, ``transitions``, ``initial``,
-    ``step``, ``run``), once per node, so equal states are the same object.
-    Looking a state up (``id_of``, ``enabled``) makes none.
+    ``run``, ``state_of``), once per node, so equal states are the same
+    object. Looking a state up (``id_of``) makes none.
 
-    A restriction to part of the nodes (``restrict``, ``restrict_ids``) is
-    again an ``AttackObserver`` over the same lists: it keeps the ids in
-    ``ids``, flags them in ``kept``, counts the transitions each keeps in
-    ``degree`` (0 at an id it does not keep), and copies no transitions. Its
+    A restriction to part of the nodes (``restrict_ids``) is again an
+    ``AttackObserver`` over the same lists: it keeps the ids in ``ids``,
+    flags them in ``kept``, counts the transitions each keeps in ``degree``
+    (0 at an id it does not keep), and copies no transitions. Its
     ``parent`` is the full graph (the full graph is its own parent), and it
     is empty when it keeps no initial node.
     """
 
     def __init__(
         self,
-        plant: Nfa,
         attack: AttackSpec,
-        events: Iterable[str],
         order: list,
         nodes: list,
         labels: list,
@@ -91,9 +88,7 @@ class AttackObserver:
         initial: int = 0,
     ):
         """The full graph of the (phase, count, tag, mask) ``nodes``."""
-        self.plant = plant
         self.attack = attack
-        self.events = frozenset(events)
         self.order = order
         self._bit = {state: b for b, state in enumerate(order)}  # plant state -> its mask bit
         self.phase, self.count, self.tag, self.mask = zip(*nodes)
@@ -253,15 +248,6 @@ class AttackObserver:
     def initial(self) -> AObsState | None:
         return None if self.initial_id is None else self.state_of(self.initial_id)
 
-    def enabled(self, state: AObsState) -> frozenset:
-        i = self.id_of(state)
-        return _EMPTY if i is None else frozenset(label for label, _j in self.kept_targets(i))
-
-    def step(self, state: AObsState, label: str) -> AObsState | None:
-        i = self.id_of(state)
-        j = None if i is None else self.target(i, label)
-        return None if j is None else self.state_of(j)
-
     def run(self, labels: Iterable[str]) -> AObsState | None:
         i = self.initial_id
         for label in labels:
@@ -269,11 +255,6 @@ class AttackObserver:
                 return None
             i = self.target(i, label)
         return None if i is None else self.state_of(i)
-
-    def restrict(self, keep: Iterable[AObsState]) -> "AttackObserver":
-        """The part of this graph reachable from its initial state inside ``keep``."""
-        ids = (self.id_of(state) for state in keep)
-        return self.restrict_ids([i for i in ids if i is not None])
 
     def __repr__(self) -> str:
         return f"AttackObserver(states={len(self.ids)}, transitions={self.n_transitions})"
@@ -345,8 +326,7 @@ def build_attack_observer(g: Nfa, attack: AttackSpec) -> AttackObserver:
         key = tuple(out_labels)
         labels.append(label_tuples.setdefault(key, key))
         targets.append(tuple(out_targets))
-    alphabet = g.events | {ATTACK_YES, ATTACK_NO, RESULT_IN, RESULT_OUT}
-    return AttackObserver(g, attack, alphabet, order, nodes, labels, targets)
+    return AttackObserver(attack, order, nodes, labels, targets)
 
 
 def attractor(graph: AttackObserver, targets: Iterable[int], need: list) -> dict:

@@ -30,14 +30,6 @@ def _natural_key(value) -> tuple:
     return key + ((1, 0, text),)
 
 
-def enabled_index(pairs: Iterable[tuple]) -> dict:
-    """``{source: frozenset(labels)}`` from (source, label) pairs."""
-    enabled: dict = {}
-    for src, label in pairs:
-        enabled.setdefault(src, set()).add(label)
-    return {src: frozenset(labels) for src, labels in enabled.items()}
-
-
 @dataclass(frozen=True, order=True)
 class StateEstimate:
     """Nonempty set of plant states kept in a canonical order, so equal sets
@@ -91,14 +83,16 @@ class Nfa:
         if not self.initial <= self.states:
             raise ValueError("initial states must be declared states")
         succ: dict = {}
+        enabled: dict = {}
         for src, label, dst in self.transitions:
             if src not in self.states or dst not in self.states:
                 raise ValueError(f"transition endpoint {src!r} or {dst!r} is not a declared state")
             if label not in self.events:
                 raise ValueError(f"transition label {label!r} is not a declared event")
             succ.setdefault((src, label), set()).add(dst)
+            enabled.setdefault(src, set()).add(label)
         self._succ = {key: frozenset(value) for key, value in succ.items()}
-        self._enabled = enabled_index(self._succ)
+        self._enabled = {src: frozenset(labels) for src, labels in enabled.items()}
         self._moves: dict = {}  # state -> its moves (see ``moves``), filled on lookup
 
     def successors(self, state: State, label: Label) -> frozenset:
@@ -155,22 +149,18 @@ class Dfa:
                 raise ValueError(f"transition endpoint {src!r} or {dst!r} is not a declared state")
             if label not in self.events:
                 raise ValueError(f"transition label {label!r} is not a declared event")
-        self._enabled = enabled_index(self.transitions)
 
     def step(self, state: State, label: Label):
         return self.transitions.get((state, label))
 
-    def run(self, labels: Iterable[Label], start: State | None = None):
+    def run(self, labels: Iterable[Label]):
         """Fold the transition function over ``labels``; None once undefined."""
-        state = self.initial if start is None else start
+        state = self.initial
         for label in labels:
             if state is None:
                 return None
             state = self.transitions.get((state, label))
         return state
-
-    def enabled(self, state: State) -> frozenset:
-        return self._enabled.get(state, _EMPTY)
 
     def __repr__(self) -> str:
         return (

@@ -22,7 +22,7 @@ class InputError(ValueError):
 def _load_json(text: str, what: str) -> dict:
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise InputError(f"syntax error in {what} document: {exc}") from exc
     if not isinstance(document, dict):
         raise InputError(f"syntax error in {what} document: expected a JSON object")

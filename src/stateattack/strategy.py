@@ -70,11 +70,8 @@ class MealyStrategy:
     ``initial_id``. ``id_edges`` maps (id, observed event) to
     ((output, target id), ...): one attack output per event, branching only
     on the attack result. A violating state ends the play and has no edges.
-    ``id_ranks`` maps each state to its rank.
-
-    The state-level names (``initial``, ``states``, ``edges``, ``ranks``,
-    ``outputs``, ``decision``, ``successor``, ``edge_list``) speak in
-    ``AObsState`` objects: views made on first request and cached."""
+    ``id_ranks`` maps each state to its rank. ``states`` is the
+    ``AObsState`` view of ``ids``, made on first request and cached."""
 
     graph: AttackObserver
     initial_id: int
@@ -85,37 +82,8 @@ class MealyStrategy:
     policy: str = RANKED
 
     @functools.cached_property
-    def initial(self) -> AObsState:
-        return self.graph.state_of(self.initial_id)
-
-    @functools.cached_property
     def states(self) -> frozenset:
         return frozenset(map(self.graph.state_of, self.ids))
-
-    @functools.cached_property
-    def edges(self) -> dict:
-        state = self.graph.state_of
-        return {
-            (state(i), event): tuple((output, state(k)) for output, k in outputs)
-            for (i, event), outputs in self.id_edges.items()
-        }
-
-    @functools.cached_property
-    def ranks(self) -> dict:
-        state = self.graph.state_of
-        return {state(i): rank for i, rank in self.id_ranks.items()}
-
-    def outputs(self, state: AObsState, event: str) -> tuple:
-        return self.edges.get((state, event), ())
-
-    def decision(self, state: AObsState, event: str) -> str | None:
-        outputs = self.outputs(state, event)
-        if not outputs:
-            return None
-        return ATTACK_NO if outputs[0][0] == ATTACK_NO else ATTACK_YES
-
-    def successor(self, state: AObsState, event: str, result: str | None = None) -> AObsState | None:
-        return _follow(self.outputs(state, event), ATTACK_NO if result is None else ATTACK_YES + result)
 
     def names(self) -> dict:
         """``{id: str(state)}`` over the strategy's states, in ``AObsState``
@@ -131,11 +99,6 @@ class MealyStrategy:
             for output, k in outputs
         ]
         return sorted(rows, key=lambda row: (names[row[0]], row[1], row[2]))
-
-    def edge_list(self) -> list:
-        """Deterministically ordered (state, input, output, target) rows."""
-        state = self.graph.state_of
-        return [(state(i), event, output, state(k)) for i, event, output, k in self.id_edge_list(self.names())]
 
     @property
     def n_edges(self) -> int:

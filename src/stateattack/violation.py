@@ -65,7 +65,8 @@ def intermediate_violating_fixpoint(aobs: AttackObserver, attack: AttackSpec) ->
 
 def build_verifier(aobs: AttackObserver, violating_reachable: Iterable[AObsState]) -> AttackObserver:
     """Restrict the attack observer to the violating-reachable states."""
-    return aobs.restrict(violating_reachable)
+    ids = (aobs.id_of(state) for state in violating_reachable)
+    return aobs.restrict_ids([i for i in ids if i is not None])
 
 
 def witness_labels(verifier: AttackObserver, attack: AttackSpec) -> list | None:

@@ -1,8 +1,9 @@
 """Shared fixtures: the ten-state running example, compact constructors for
 attack-observer states, the deterministic random-instance corpus, the
 paper's composed construction of the attack observer, the strategy
-synthesis that walks on past the first violation, and the state-keyed
-strategy validation and play simulation."""
+synthesis that walks on past the first violation, and the reference
+strategy validation and play simulation that test the violating predicate
+on estimates."""
 
 import random
 from collections import deque
@@ -29,7 +30,7 @@ from stateattack.strategy import (
     RandomSeeded,
     StrategyError,
     StrategyReport,
-    compute_ranks,
+    rank_ids,
 )
 from stateattack.violation import violation_predicate
 
@@ -140,22 +141,21 @@ def composed_attack_observer(g: Nfa, attack: AttackSpec) -> AttackObserver:
         outgoing[ids[flatten(src)]].append((label, ids[flatten(dst)]))
     labels = [tuple(label for label, _ in edges) for edges in outgoing]
     targets = [tuple(dst for _, dst in edges) for edges in outgoing]
-    return AttackObserver(
-        g, attack, composed.events, order, nodes, labels, targets, ids[flatten(composed.initial)],
-    )
+    return AttackObserver(attack, order, nodes, labels, targets, ids[flatten(composed.initial)])
 
 
-def _full_decision(fv, ranks, policy, reference, turn_state) -> str:
-    """The attack decision at ``turn_state``, reached from ``reference``."""
+def _full_decision(fv, ranks, policy, reference, turn) -> str:
+    """The attack decision at the node ``turn``, reached from ``reference``."""
     candidates: list = []
-    no_target = fv.step(turn_state, ATTACK_NO)
+    no_target = None if turn is None else fv.target(turn, ATTACK_NO)
     if no_target is not None:
         candidates.append((ATTACK_NO, no_target))
-    yes_target = fv.step(turn_state, ATTACK_YES)
+    yes_target = None if turn is None else fv.target(turn, ATTACK_YES)
     if yes_target is not None:
         candidates.append((ATTACK_YES, yes_target))
     if not candidates:
-        raise StrategyError(f"no decision keeps the intruder inside the region at {turn_state}")
+        where = "a node outside it" if turn is None else fv.state_of(turn)
+        raise StrategyError(f"no decision keeps the intruder inside the region at {where}")
     if policy == FIRST_VALID:
         return candidates[0][0]
     here = ranks.get(reference, INFINITE_RANK)
@@ -169,25 +169,25 @@ def _full_decision(fv, ranks, policy, reference, turn_state) -> str:
 
 
 def full_strategy(fv: AttackObserver, aobs: AttackObserver, policy: str = RANKED) -> MealyStrategy:
-    """The strategy over every final-verifier state a decision leads to,
-    violating or not, keyed on ``AObsState`` objects: the reference
-    ``synthesize_strategy`` is checked against, up to the first violation."""
+    """The strategy over every final-verifier node a decision leads to,
+    violating or not: the reference ``synthesize_strategy`` is checked
+    against, up to the first violation. Its ranks cover every kept node."""
     attack = aobs.attack
-    ranks = compute_ranks(fv, attack)
-    initial = fv.initial
+    ranks = rank_ids(fv, attack)
+    initial = fv.initial_id
     states = {initial}
     edges: dict = {}
 
-    def add_edges(source: AObsState, event: str, turn_state: AObsState) -> list:
-        decision = _full_decision(fv, ranks, policy, source, turn_state)
+    def add_edges(source: int, event: str, turn: int | None) -> list:
+        decision = _full_decision(fv, ranks, policy, source, turn)
         if decision == ATTACK_NO:
-            target = fv.step(turn_state, ATTACK_NO)
+            target = fv.target(turn, ATTACK_NO)
             edges[(source, event)] = ((ATTACK_NO, target),)
             return [target]
-        pending = fv.step(turn_state, ATTACK_YES)
+        pending = fv.target(turn, ATTACK_YES)
         outputs = []
         for result in RESULT_LABELS:
-            target = fv.step(pending, result)
+            target = fv.target(pending, result)
             if target is not None:
                 outputs.append((ATTACK_YES + result, target))
         edges[(source, event)] = tuple(outputs)
@@ -200,52 +200,46 @@ def full_strategy(fv: AttackObserver, aobs: AttackObserver, policy: str = RANKED
             queue.append(target)
     while queue:
         state = queue.popleft()
-        for event in sorted(aobs.enabled(state)):
-            for target in add_edges(state, event, fv.step(state, event)):
+        for event in sorted(label for label, _ in aobs.kept_targets(state)):
+            for target in add_edges(state, event, fv.target(state, event)):
                 if target not in states:
                     states.add(target)
                     queue.append(target)
-    i = fv.id_of
     return MealyStrategy(
-        fv,
-        i(initial),
-        frozenset(map(i, states)),
-        {
-            (i(src), event): tuple((output, i(dst)) for output, dst in outputs)
-            for (src, event), outputs in edges.items()
-        },
-        attack,
-        {i(state): rank for state, rank in ranks.items()},
-        policy,
+        fv, initial, frozenset(states), edges, attack,
+        {i: ranks.get(i, INFINITE_RANK) for i in fv.ids}, policy,
     )
 
 
 def reference_validate(strategy: MealyStrategy, aobs: AttackObserver, attack: AttackSpec) -> StrategyReport:
-    """``validate_strategy`` on the state-level view: the play tree unfolded
-    over ``AObsState`` keys, with the violating predicate on estimates."""
-    if not strategy.states or not strategy.edges:
+    """``validate_strategy`` with the violating predicate tested on the
+    estimates of the states, not on their masks."""
+    if not strategy.ids or not strategy.id_edges:
         raise ValueError("cannot validate an empty strategy")
+    edges, state_of = strategy.id_edges, strategy.graph.state_of
 
-    def edge_moves(source: AObsState, event: str, turn_state: AObsState):
-        if strategy.decision(source, event) == ATTACK_NO:
-            yield (event, ATTACK_NO, None), strategy.successor(source, event)
+    def edge_moves(source: int, event: str, turn: int):
+        outputs = dict(edges[source, event])
+        if ATTACK_NO in outputs:
+            yield (event, ATTACK_NO, None), outputs[ATTACK_NO]
             return
-        pending = aobs.step(turn_state, ATTACK_YES)
+        pending = aobs.target(turn, ATTACK_YES)
         for result in RESULT_LABELS:
-            target = strategy.successor(source, event, result)
-            if target is not None or (pending is not None and aobs.step(pending, result) is not None):
+            target = outputs.get(ATTACK_YES + result)
+            if target is not None or (pending is not None and aobs.target(pending, result) is not None):
                 yield (event, ATTACK_YES, result), target
 
-    def moves(state: AObsState):
-        for event in sorted(aobs.enabled(state)):
-            if not strategy.outputs(state, event):
+    def moves(state: int):
+        for event, turn in sorted(aobs.kept_targets(state)):
+            if not edges.get((state, event)):
                 yield (event, None, None), None
                 return
-            yield from edge_moves(state, event, aobs.step(state, event))
+            yield from edge_moves(state, event, turn)
 
-    if not strategy.outputs(strategy.initial, EPSILON):
+    initial = strategy.initial_id
+    if not edges.get((initial, EPSILON)):
         return StrategyReport(False, None, (), "no initial decision")
-    stack: list = [[None, edge_moves(strategy.initial, EPSILON, strategy.initial), 0]]
+    stack: list = [[None, edge_moves(initial, EPSILON, initial), 0]]
     prefix: list = []
     memo: dict = {}
     on_path: set = set()
@@ -264,7 +258,7 @@ def reference_validate(strategy: MealyStrategy, aobs: AttackObserver, attack: At
             if target is None:
                 missing = "enabled event" if step[1] is None else "attack result"
                 return StrategyReport(False, None, tuple(prefix), f"no edge for {missing}")
-            if violation_predicate(target.estimate, attack):
+            if violation_predicate(state_of(target).estimate, attack):
                 below = 0
             elif target in memo:
                 below = memo[target]
@@ -279,37 +273,40 @@ def reference_validate(strategy: MealyStrategy, aobs: AttackObserver, attack: At
 
 
 def reference_play(g: Nfa, strategy: MealyStrategy, system_policy, max_rounds: int = 1000) -> PlayTrace:
-    """``simulate_play`` on the state-level view: strategy states, ranks and
-    violation tests on ``AObsState`` objects, and the plant's moves sorted
-    afresh every round."""
+    """``simulate_play`` with the violating predicate tested on estimates and
+    the plant's moves sorted afresh every round."""
     attack = strategy.attack
+    edges, ranks, state_of = strategy.id_edges, strategy.id_ranks, strategy.graph.state_of
     rng = random.Random(system_policy.seed) if isinstance(system_policy, RandomSeeded) else None
 
-    def advance(state: AObsState, event: str, true_state) -> tuple:
-        decision = strategy.decision(state, event)
-        if decision is None:
-            raise StrategyError(f"strategy has no edge for event {event!r} at {state}")
-        if decision == ATTACK_NO:
-            return ATTACK_NO, None, strategy.successor(state, event)
+    def advance(state: int, event: str, true_state) -> tuple:
+        outputs = dict(edges.get((state, event), ()))
+        if not outputs:
+            raise StrategyError(f"strategy has no edge for event {event!r} at {state_of(state)}")
+        if ATTACK_NO in outputs:
+            return ATTACK_NO, None, outputs[ATTACK_NO]
         result = "1" if true_state in attack.attacked else "0"
-        target = strategy.successor(state, event, result)
+        target = outputs.get(ATTACK_YES + result)
         if target is None:
-            raise StrategyError(f"strategy misses result {result!r} for event {event!r} at {state}")
+            raise StrategyError(
+                f"strategy misses result {result!r} for event {event!r} at {state_of(state)}"
+            )
         return ATTACK_YES, result, target
 
-    def score(state: AObsState, event: str, true_state) -> float:
-        return strategy.ranks.get(advance(state, event, true_state)[2], INFINITE_RANK)
+    def score(state: int, event: str, true_state) -> float:
+        return ranks.get(advance(state, event, true_state)[2], INFINITE_RANK)
 
+    initial = strategy.initial_id
     initial_candidates = sorted(g.initial, key=str)
     if rng is not None:
         true_state = rng.choice(initial_candidates)
     else:
-        true_state = max(initial_candidates, key=lambda cand: score(strategy.initial, EPSILON, cand))
+        true_state = max(initial_candidates, key=lambda cand: score(initial, EPSILON, cand))
     rounds: list = []
-    decision, result, current = advance(strategy.initial, EPSILON, true_state)
-    rounds.append(PlayRound(EPSILON, decision, result, current.estimate, true_state))
+    decision, result, current = advance(initial, EPSILON, true_state)
+    rounds.append(PlayRound(EPSILON, decision, result, state_of(current).estimate, true_state))
     while len(rounds) < max_rounds:
-        if violation_predicate(current.estimate, attack):
+        if violation_predicate(state_of(current).estimate, attack):
             return PlayTrace(tuple(rounds), "violated")
         moves = [
             (event, target)
@@ -323,7 +320,7 @@ def reference_play(g: Nfa, strategy: MealyStrategy, system_policy, max_rounds: i
         else:
             event, true_state = max(moves, key=lambda mv: score(current, mv[0], mv[1]))
         decision, result, current = advance(current, event, true_state)
-        rounds.append(PlayRound(event, decision, result, current.estimate, true_state))
-    if violation_predicate(current.estimate, attack):
+        rounds.append(PlayRound(event, decision, result, state_of(current).estimate, true_state))
+    if violation_predicate(state_of(current).estimate, attack):
         return PlayTrace(tuple(rounds), "violated")
     return PlayTrace(tuple(rounds), "exhausted")

@@ -129,9 +129,10 @@ def test_criterion_6_strategy_fixture(plant):
         _, fv = check_enforced(plant, ATTACK_2489)
         aobs = fv.parent
         strategy = synthesize_strategy(fv, aobs, "ranked")
+        names = strategy.names()
         rows = {
-            (str(src), event, output, str(dst))
-            for src, event, output, dst in strategy.edge_list()
+            (names[src], event, output, names[dst])
+            for src, event, output, dst in strategy.id_edge_list(names)
         }
         assert ("(A,0,{1,10})", EPSILON, "N", "(S,0N,{1,10})") in rows
         assert ("(S,0N,{1,10})", "a", "N", "(S,0N,{2,3})") in rows
@@ -143,23 +144,24 @@ def test_criterion_6_strategy_fixture(plant):
         assert report.sound is True
 
         # every maximal play ends on a singleton estimate with at most 1 attack
+        edges = strategy.id_edges
         stack = [
             (target, 1 if output.startswith("Y") else 0)
-            for output, target in strategy.outputs(strategy.initial, EPSILON)
+            for output, target in edges[strategy.initial_id, EPSILON]
         ]
         seen = set()
         while stack:
             state, used = stack.pop()
             assert used <= 1
-            if len(state.estimate) == 1:
+            if len(aobs.state_of(state).estimate) == 1:
                 continue
             if state in seen:
                 continue
             seen.add(state)
-            events = sorted(aobs.enabled(state))
+            events = sorted(label for label, _j in aobs.kept_targets(state))
             assert events, "an unresolved play has no continuation"
             for event in events:
-                outputs = strategy.outputs(state, event)
+                outputs = edges.get((state, event))
                 assert outputs
                 for output, target in outputs:
                     stack.append((target, used + (1 if output.startswith("Y") else 0)))
@@ -168,30 +170,29 @@ def test_criterion_6_strategy_fixture(plant):
 def shared_traces(aobs, plant, limit_depth=None):
     """One complete-round trace per reachable estimation state (plus, when
     asked, every path of at most `limit_depth` labels)."""
-    paths = {aobs.initial: []}
-    frontier = deque([aobs.initial])
+    paths = {aobs.initial_id: []}
+    frontier = deque([aobs.initial_id])
     while frontier:
-        state = frontier.popleft()
-        for label in sorted(aobs.enabled(state)):
-            target = aobs.step(state, label)
-            if target not in paths:
-                paths[target] = paths[state] + [label]
-                frontier.append(target)
+        i = frontier.popleft()
+        for label, j in sorted(aobs.kept_targets(i)):
+            if j not in paths:
+                paths[j] = paths[i] + [label]
+                frontier.append(j)
     out = [
-        (path, state)
-        for state, path in paths.items()
-        if state.phase == PHASE_SYSTEM
+        (path, aobs.state_of(i))
+        for i, path in paths.items()
+        if aobs.phase[i] == PHASE_SYSTEM
     ]
     if limit_depth:
-        stack = [(aobs.initial, [])]
+        stack = [(aobs.initial_id, [])]
         while stack:
-            state, path = stack.pop()
-            if state.phase == PHASE_SYSTEM:
-                out.append((path, state))
+            i, path = stack.pop()
+            if aobs.phase[i] == PHASE_SYSTEM:
+                out.append((path, aobs.state_of(i)))
             if len(path) >= limit_depth:
                 continue
-            for label in sorted(aobs.enabled(state)):
-                stack.append((aobs.step(state, label), path + [label]))
+            for label, j in sorted(aobs.kept_targets(i)):
+                stack.append((j, path + [label]))
     return out
 
 

@@ -34,36 +34,29 @@ from stateattack import (
     check_violation,
     compute_ranks,
     filtered_estimate,
-    intermediate_violating_fixpoint,
     parse_model,
     parse_spec,
     rank_ids,
     synthesize_strategy,
     witness_labels,
 )
-from stateattack.automata import enabled_index
 from stateattack.oracle import AttackRound, AttackTrace
 
 SAMPLES = Path(__file__).parent.parent / "samples"
 
 
 def assert_matches_reference(plant, attack):
-    """The builder's graph equals the composed one, holds one object per
-    state, and its restrictions index their enabled labels correctly."""
+    """The builder's graph equals the composed one and holds one object per
+    state."""
     built = build_attack_observer(plant, attack)
     reference = composed_attack_observer(plant, attack)
     assert built.states == reference.states
     assert built.transitions == reference.transitions
     assert built.initial == reference.initial
-    assert built.events == reference.events
     held = {state: state for state in built.states}
     assert built.initial is held[built.initial]
     for (src, _label), dst in built.transitions.items():
         assert src is held[src] and dst is held[dst]
-    verifier = built.restrict(intermediate_violating_fixpoint(built, attack))
-    for graph in (built, verifier):
-        index = enabled_index(graph.transitions)
-        assert all(graph.enabled(s) == index.get(s, frozenset()) for s in graph.states)
     return built
 
 
@@ -83,13 +76,13 @@ def test_builder_matches_composition_on_samples(spec):
     assert_matches_reference(plant, parse_spec((SAMPLES / spec).read_text(), plant))
 
 
-def await_states(aobs):
-    return [s for s in aobs.states if s.phase == PHASE_AWAIT]
+def await_ids(aobs):
+    return [i for i in aobs.ids if aobs.phase[i] == PHASE_AWAIT]
 
 
 def test_builder_budget_zero_never_attacks(plant):
     aobs = assert_matches_reference(plant, AttackSpec(frozenset({"2", "4"}), 0))
-    assert not await_states(aobs)
+    assert not await_ids(aobs)
     assert all(label != "Y" for _src, label in aobs.transitions)
 
 
@@ -97,8 +90,8 @@ def test_builder_budget_zero_never_attacks(plant):
 def test_builder_one_result_when_attack_is_uninformative(plant, attacked, result):
     attack = AttackSpec(plant.states if attacked is None else attacked, 2)
     aobs = assert_matches_reference(plant, attack)
-    assert await_states(aobs)
-    assert all(aobs.enabled(s) == {result} for s in await_states(aobs))
+    assert await_ids(aobs)
+    assert all([label for label, _j in aobs.kept_targets(i)] == [result] for i in await_ids(aobs))
 
 
 def test_builder_several_initial_states():
@@ -113,7 +106,7 @@ def test_builder_dead_end_plant_state():
     g = Nfa(["x", "y", "z"], ["a", "b"], [("x", "a", "y"), ("x", "b", "z"), ("z", "b", "z")], ["x"])
     aobs = assert_matches_reference(g, AttackSpec(frozenset({"y"}), 1))
     assert aob("S", "0N", "y") in aobs.states
-    assert aobs.enabled(aob("S", "0N", "y")) == frozenset()
+    assert aobs.kept_targets(aobs.id_of(aob("S", "0N", "y"))) == []
 
 
 def test_builder_orders_members_naturally():
@@ -121,7 +114,7 @@ def test_builder_orders_members_naturally():
     aobs = assert_matches_reference(g, AttackSpec(frozenset({"10"}), 1))
     target = aobs.run(["N", "a"])
     assert target.estimate.members == ("2", "10")
-    assert aobs.step(aobs.run(["N", "a", "Y"]), "1").estimate.members == ("10",)
+    assert aobs.run(["N", "a", "Y", "1"]).estimate.members == ("10",)
 
 
 def test_builder_masks_wider_than_a_machine_word():
@@ -171,7 +164,7 @@ def test_attack_observer_fixture_40_state_edges(aobs_2489):
     edges = {(src, label, dst) for (src, label), dst in aobs_2489.transitions.items()}
     assert expected <= edges
     # {1,10} has no attacked member, so result 1 is undefined there
-    assert aobs_2489.step(aob("AY", "0Y", "1,10"), "1") is None
+    assert aobs_2489.target(aobs_2489.id_of(aob("AY", "0Y", "1,10")), "1") is None
 
 
 def test_verdicts_make_no_state_objects_until_asked(plant, attack_2489, monkeypatch):
@@ -196,12 +189,12 @@ def test_verdicts_make_no_state_objects_until_asked(plant, attack_2489, monkeypa
 
 def test_lookups_make_no_state_objects(plant, attack_2489):
     aobs = build_attack_observer(plant, attack_2489)
-    state = aob("S", "0N", "2,3")
-    assert aobs.id_of(state) is not None
+    i = aobs.id_of(aob("S", "0N", "2,3"))
+    assert i is not None
     assert aobs.id_of(aob("S", "0N", "2,99")) is None  # 99 is no plant state
-    assert aobs.enabled(state) == frozenset({"b", "c"})
+    assert {label for label, _j in aobs.kept_targets(i)} == {"b", "c"}
     assert not any(aobs._objects)
-    target = aobs.step(state, "b")  # makes the one object it returns
+    target = aobs.state_of(aobs.target(i, "b"))  # makes the one object it returns
     assert [made for made in aobs._objects if made is not None] == [target]
 
 
@@ -271,10 +264,10 @@ def test_fixpoints_list_no_kept_transitions(instances, monkeypatch):
                     calls.clear()
 
 
-def test_preds_invert_the_targets(aobs_24, attack_24):
+def test_preds_invert_the_targets(plant, aobs_24, attack_24):
     """``preds`` lists each source once per transition into a target, in
     source order, and a view reads the full graph's lists."""
-    verifier = check_violation(aobs_24.plant, attack_24)[1]
+    verifier = check_violation(plant, attack_24)[1]
     for graph in (aobs_24, verifier):
         full = graph.parent
         expected: dict = {j: [] for j in full.ids}
@@ -285,17 +278,18 @@ def test_preds_invert_the_targets(aobs_24, attack_24):
 
 
 def test_enabled_fixture(aobs_24):
-    assert aobs_24.enabled(aob("S", "0N", "1,10")) == frozenset({"a", "d"})
+    i = aobs_24.id_of
+    assert {label for label, _j in aobs_24.kept_targets(i(aob("S", "0N", "1,10")))} == {"a", "d"}
     # {1,10} misses the attacked set entirely, so only result 0 is possible
-    assert aobs_24.enabled(aob("AY", "0Y", "1,10")) == frozenset({"0"})
-    assert aobs_24.step(aob("AY", "0Y", "1,10"), "0") == aob("S", "1", "1,10")
-    assert aobs_24.enabled(aob("S", "1N", "1")) == frozenset()  # no node of the graph
+    pending = i(aob("AY", "0Y", "1,10"))
+    assert aobs_24.kept_targets(pending) == [("0", i(aob("S", "1", "1,10")))]
+    assert i(aob("S", "1N", "1")) is None  # no node of the graph
 
 
 def test_enabled_deadlocked_estimate():
     g = Nfa(["x"], ["a"], [], ["x"])
     aobs = build_attack_observer(g, AttackSpec(frozenset(), 0))
-    assert aobs.enabled(aob("S", "0N", "x")) == frozenset()
+    assert aobs.kept_targets(aobs.id_of(aob("S", "0N", "x"))) == []
 
 
 def test_build_propagates_attack_validation_errors(plant):
@@ -309,11 +303,11 @@ def test_build_propagates_attack_validation_errors(plant):
 def test_phase_determines_outgoing_labels(index, instances):
     plant, attack = instances[index]
     aobs = build_attack_observer(plant, attack)
-    for state in aobs.states:
-        labels = aobs.enabled(state)
-        if state.phase == PHASE_DECIDE:
+    for i in aobs.ids:
+        labels = {label for label, _j in aobs.kept_targets(i)}
+        if aobs.phase[i] == PHASE_DECIDE:
             assert labels <= {"Y", "N"}
-        elif state.phase == PHASE_AWAIT:
+        elif aobs.phase[i] == PHASE_AWAIT:
             assert labels <= {"0", "1"} and labels
         else:
             assert labels <= plant.events
@@ -345,16 +339,15 @@ def test_result_transitions_filter_estimates(aobs_24, plant):
 
 def witness_paths(aobs):
     """One shortest label path per reachable state."""
-    paths = {aobs.initial: []}
-    frontier = deque([aobs.initial])
+    paths = {aobs.initial_id: []}
+    frontier = deque([aobs.initial_id])
     while frontier:
-        state = frontier.popleft()
-        for label in sorted(aobs.enabled(state)):
-            target = aobs.step(state, label)
-            if target not in paths:
-                paths[target] = paths[state] + [label]
-                frontier.append(target)
-    return paths
+        i = frontier.popleft()
+        for label, j in sorted(aobs.kept_targets(i)):
+            if j not in paths:
+                paths[j] = paths[i] + [label]
+                frontier.append(j)
+    return {aobs.state_of(i): path for i, path in paths.items()}
 
 
 @pytest.mark.parametrize("index", range(0, 60, 6))

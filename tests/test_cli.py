@@ -252,6 +252,9 @@ def test_input_errors_exit_2(capsys, tmp_path, model_path):
     bad_model = tmp_path / "bad.json"
     bad_model.write_text("{broken")
     assert run(capsys, "observer", "--model", str(bad_model))[0] == 2
+    bad_model.write_text("[" * 200000 + "]" * 200000)  # deeper than the decoder's recursion limit
+    assert run(capsys, "check-violation", "--model", str(bad_model),
+               "--attacked", "1", "--budget", "1")[0] == 2
     assert run(capsys, "check-violation", "--model", model_path,
                "--attacked", "2,99", "--budget", "1")[0] == 2
     assert run(capsys, "check-violation", "--model", model_path,

@@ -30,19 +30,20 @@ def fv_2489(plant, attack_2489):
     return check_enforced(plant, attack_2489)[1]
 
 
-def closure_holds(sub: AttackObserver, state) -> bool:
-    """The paper's survival condition of a kept state: a system-move state
-    keeps every event the full graph enables, a result-wait state every
-    result it defines, and a decision state at least one decision."""
-    if state.phase == PHASE_SYSTEM:
-        return all(sub.step(state, e) is not None for e in sub.parent.enabled(state))
-    if state.phase == PHASE_AWAIT:
+def closure_holds(sub: AttackObserver, i: int) -> bool:
+    """The paper's survival condition of a kept node: a system-move node
+    keeps every event the full graph enables, a result-wait node every
+    result it defines, and a decision node at least one decision."""
+    full = sub.parent
+    if sub.phase[i] == PHASE_SYSTEM:
+        return all(sub.target(i, e) is not None for e, _j in full.kept_targets(i))
+    if sub.phase[i] == PHASE_AWAIT:
         return all(
-            sub.step(state, r) is not None
+            sub.target(i, r) is not None
             for r in ("0", "1")
-            if sub.parent.step(state, r) is not None
+            if full.target(i, r) is not None
         )
-    return any(sub.step(state, d) is not None for d in ("Y", "N"))
+    return any(sub.target(i, d) is not None for d in ("Y", "N"))
 
 
 def held(v: AttackObserver, strict_paper: bool = False) -> frozenset:
@@ -53,14 +54,14 @@ def test_type1_not_vulnerable_when_an_event_escapes(verifier_24):
     # d is enabled at {1,10} in the full graph but its target was pruned
     state = aob("S", "0N", "1,10")
     assert state in verifier_24.states
-    assert not closure_holds(verifier_24, state)
+    assert not closure_holds(verifier_24, verifier_24.id_of(state))
     assert state not in held(verifier_24)
 
 
 def test_type1_vulnerable_when_all_events_stay(fv_2489):
     state = aob("S", "0N", "2,3")
     assert state in fv_2489.states
-    assert closure_holds(fv_2489, state)
+    assert closure_holds(fv_2489, fv_2489.id_of(state))
 
 
 def test_type1_vacuously_vulnerable_when_deadlocked():
@@ -69,32 +70,32 @@ def test_type1_vacuously_vulnerable_when_deadlocked():
 
 
 def test_type2_vulnerable_when_both_results_stay(fv_2489):
-    state = aob("AY", "0Y", "4,5")
-    assert fv_2489.enabled(state) == frozenset({"0", "1"})
-    assert closure_holds(fv_2489, state)
+    i = fv_2489.id_of(aob("AY", "0Y", "4,5"))
+    assert {label for label, _j in fv_2489.kept_targets(i)} == {"0", "1"}
+    assert closure_holds(fv_2489, i)
 
 
 def test_type2_readings_differ_after_pruning_a_result(fv_2489):
-    pruned = fv_2489.parent.restrict(fv_2489.states - {aob("S", "1", "5")})
+    pruned = fv_2489.parent.restrict_ids(set(fv_2489.ids) - {fv_2489.id_of(aob("S", "1", "5"))})
     state = aob("AY", "0Y", "4,5")
-    assert not closure_holds(pruned, state)
+    assert not closure_holds(pruned, pruned.id_of(state))
     assert state not in held(pruned)
     assert state in held(pruned, strict_paper=True)
 
 
 def test_type3_vulnerable_through_either_decision(fv_2489):
     # attacking keeps the intruder inside at {4,5}, declining at {1,10}
-    assert fv_2489.step(aob("A", "0", "4,5"), "Y") == aob("AY", "0Y", "4,5")
-    assert fv_2489.enabled(aob("A", "0", "1,10")) == frozenset({"N"})
+    i = fv_2489.id_of
+    assert fv_2489.target(i(aob("A", "0", "4,5")), "Y") == i(aob("AY", "0Y", "4,5"))
+    assert {label for label, _j in fv_2489.kept_targets(i(aob("A", "0", "1,10")))} == {"N"}
 
 
 def test_type3_not_vulnerable_with_both_successors_pruned(fv_2489):
-    pruned = fv_2489.parent.restrict(
-        fv_2489.states - {aob("S", "0N", "4,5"), aob("AY", "0Y", "4,5")}
-    )
+    dropped = {fv_2489.id_of(aob("S", "0N", "4,5")), fv_2489.id_of(aob("AY", "0Y", "4,5"))}
+    pruned = fv_2489.parent.restrict_ids(set(fv_2489.ids) - dropped)
     state = aob("A", "0", "4,5")
     assert state in pruned.states
-    assert not closure_holds(pruned, state)
+    assert not closure_holds(pruned, pruned.id_of(state))
     assert state not in held(pruned)
 
 
@@ -148,39 +149,37 @@ def test_enforced_implies_violating(instances):
 
 
 def test_final_verifier_closure(fv_2489, instances):
-    for state in fv_2489.states:
-        assert closure_holds(fv_2489, state)
+    for i in fv_2489.ids:
+        assert closure_holds(fv_2489, i)
     for plant, attack in instances[:40]:
         _, fv = check_enforced(plant, attack)
-        for state in fv.states:
-            assert closure_holds(fv, state)
+        for i in fv.ids:
+            assert closure_holds(fv, i)
 
 
 def greatest_closed_restriction(verifier: AttackObserver, strict_paper: bool = False) -> frozenset:
-    """Alternative pruning schedule: drop any offending state, one at a time,
-    in reverse order, ignoring accessibility until the very end. In the
-    strict reading a result-wait state is always closed."""
-    kept = set(verifier.states)
+    """Alternative pruning schedule: drop any offending node, one at a time,
+    in reverse state order, ignoring accessibility until the very end. In the
+    strict reading a result-wait node is always closed."""
+    full = verifier.parent
+    kept = set(verifier.ids)
     changed = True
     while changed:
         changed = False
-        for state in sorted(kept, reverse=True):
+        for i in sorted(kept, key=verifier.sort_key, reverse=True):
             # evaluate the closure on the raw kept set, not the reachable part
-            if state.phase == PHASE_SYSTEM:
-                ok = all(
-                    verifier.step(state, e) in kept
-                    for e in verifier.parent.enabled(state)
-                )
-            elif state.phase == PHASE_AWAIT:
+            if verifier.phase[i] == PHASE_SYSTEM:
+                ok = all(verifier.target(i, e) in kept for e, _j in full.kept_targets(i))
+            elif verifier.phase[i] == PHASE_AWAIT:
                 ok = strict_paper or all(
-                    verifier.step(state, r) in kept
+                    verifier.target(i, r) in kept
                     for r in ("0", "1")
-                    if verifier.parent.step(state, r) is not None
+                    if full.target(i, r) is not None
                 )
             else:
-                ok = any(verifier.step(state, d) in kept for d in ("Y", "N"))
+                ok = any(verifier.target(i, d) in kept for d in ("Y", "N"))
             if not ok:
-                kept.discard(state)
+                kept.discard(i)
                 changed = True
                 break
     return frozenset(kept)
@@ -194,6 +193,6 @@ def test_pruning_is_order_insensitive(plant, attack_24, attack_2489, instances, 
         _, verifier = check_violation(case_plant, case_attack)
         fv = final_verifier(verifier, verifier.parent, strict_paper)
         closed = greatest_closed_restriction(verifier, strict_paper)
-        expected = verifier.parent.restrict(closed)
+        expected = verifier.parent.restrict_ids(closed)
         assert fv.states == expected.states
         assert fv.transitions == expected.transitions

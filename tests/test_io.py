@@ -53,6 +53,11 @@ def test_parse_model_syntax_error():
         parse_model("{not json")
     with pytest.raises(InputError, match="syntax error"):
         parse_model('["a list"]')
+    nested = "[" * 200000 + "]" * 200000  # deeper than the decoder's recursion limit
+    with pytest.raises(InputError, match="syntax error in model document"):
+        parse_model(nested)
+    with pytest.raises(InputError, match="syntax error in attack document"):
+        parse_spec(nested, ten_state_plant())
 
 
 def test_parse_model_unknown_identifier():

@@ -99,3 +99,18 @@ def test_renaming_states_and_events_changes_nothing(instances, strict_paper):
         expected = outcome(plant, attack, strict_paper)
         for _ in range(2):
             assert outcome(*renamed(plant, attack, rng), strict_paper) == expected
+
+
+def test_verdicts_are_monotone_in_the_budget(instances):
+    """More attacks never take a verdict away: a verdict true at budget k is
+    true at k + 1, for budgets 0 to two above the instance's own, in the
+    violation check and in both pruning modes of the enforcement check."""
+    for plant, attack in instances:
+        specs = [AttackSpec(attack.attacked, k, attack.secret) for k in range(attack.budget + 3)]
+        verdicts = [
+            (check_violation(plant, spec)[0], check_enforced(plant, spec)[0],
+             check_enforced(plant, spec, strict_paper=True)[0])
+            for spec in specs
+        ]
+        for by_budget in zip(*verdicts):
+            assert list(by_budget) == sorted(by_budget), (plant.transitions, attack)

@@ -140,7 +140,7 @@ def aobs_path_oracle(plant, attack, s, r_a):
         return [["Y", "0"], ["Y", "1"]]
 
     def prefixes(i, state):
-        """Phase-A states reachable right before decision round i+1, over all
+        """Phase-A nodes reachable right before decision round i+1, over all
         realizable result choices for the intermediate rounds."""
         if i == len(s):
             yield state
@@ -150,19 +150,20 @@ def aobs_path_oracle(plant, attack, s, r_a):
             labels = choice + [s[i]]
             nxt = state
             for label in labels:
-                nxt = aobs.step(nxt, label) if nxt is not None else None
+                nxt = aobs.target(nxt, label) if nxt is not None else None
             if nxt is not None:
                 yield from prefixes(i + 1, nxt)
 
-    for state in prefixes(0, aobs.initial):
+    for state in prefixes(0, aobs.initial_id):
         settled = []
         for labels in final_labels(r_a[len(s)]):
             nxt = state
             for label in labels:
-                nxt = aobs.step(nxt, label) if nxt is not None else None
+                nxt = aobs.target(nxt, label) if nxt is not None else None
             if nxt is not None:
-                settled.append(len(nxt.estimate) == 1 if attack.secret is None
-                               else frozenset(nxt.estimate) <= attack.secret)
+                estimate = aobs.state_of(nxt).estimate
+                settled.append(len(estimate) == 1 if attack.secret is None
+                               else frozenset(estimate) <= attack.secret)
         if settled and all(settled):
             return True
     return False

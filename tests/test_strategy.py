@@ -69,7 +69,7 @@ def test_ranks_infinite_on_cycle_without_exit(plant, attack_24, aobs_24):
         aob("A", "0", "2,3"), aob("S", "0N", "2,3"),
         aob("A", "0", "4,5"), aob("S", "0N", "4,5"),
     }
-    sub = aobs_24.restrict(loop)
+    sub = aobs_24.restrict_ids([aobs_24.id_of(state) for state in loop])
     assert sub.states == frozenset(loop)
     ranks = compute_ranks(sub, attack_24)
     assert all(math.isinf(value) for value in ranks.values())
@@ -79,23 +79,24 @@ def value_iteration_ranks(fv, attack) -> dict:
     """Reference ranks by plain value iteration over the kept transitions:
     0 at violating system-move states, 1 + min at decision states, 1 + max
     elsewhere, and infinite where no value is ever resolved."""
-    def violating(state):
+    def violating(i):
+        state = fv.state_of(i)
         return state.phase == PHASE_SYSTEM and violation_predicate(state.estimate, attack)
 
-    ranks = {state: 0 if violating(state) else math.inf for state in fv.states}
+    ranks = {i: 0 if violating(i) else math.inf for i in fv.ids}
     changed = True
     while changed:
         changed = False
-        for state in fv.states:
-            successors = [ranks[fv.step(state, label)] for label in fv.enabled(state)]
-            if violating(state) or not successors:
+        for i in fv.ids:
+            successors = [ranks[j] for _label, j in fv.kept_targets(i)]
+            if violating(i) or not successors:
                 continue
-            best = min if state.phase == PHASE_DECIDE else max
+            best = min if fv.phase[i] == PHASE_DECIDE else max
             value = 1 + best(successors)
-            if value < ranks[state]:
-                ranks[state] = value
+            if value < ranks[i]:
+                ranks[i] = value
                 changed = True
-    return ranks
+    return {fv.state_of(i): rank for i, rank in ranks.items()}
 
 
 def test_ranks_match_value_iteration(fv_2489, attack_2489, instances):
@@ -178,9 +179,10 @@ def test_ranked_strategy_edges_fixture(ranked_2489):
     # synthesis stops at the first one.
     states, expected = rows_before_violation(EXPECTED_RANKED_EDGES, "(A,0,{1,10})")
     assert len(expected) == 9
+    names = ranked_2489.names()
     rows = {
-        (str(src), event, output, str(dst))
-        for src, event, output, dst in ranked_2489.edge_list()
+        (names[src], event, output, names[dst])
+        for src, event, output, dst in ranked_2489.id_edge_list(names)
     }
     assert rows == expected
     assert {str(state) for state in ranked_2489.states} == states
@@ -190,15 +192,16 @@ def test_ranked_strategy_edges_fixture(ranked_2489):
 def before_violation(strategy: MealyStrategy, attack: AttackSpec) -> dict:
     """The edges of ``strategy`` whose source a play reaches from the
     initial state without passing a violating state."""
-    expanded = [strategy.initial]
+    state_of = strategy.graph.state_of
+    expanded = [strategy.initial_id]
     for state in expanded:  # grows while it is walked
-        for (src, _event), outputs in strategy.edges.items():
+        for (src, _event), outputs in strategy.id_edges.items():
             if src != state:
                 continue
             for _output, dst in outputs:
-                if dst not in expanded and not violation_predicate(dst.estimate, attack):
+                if dst not in expanded and not violation_predicate(state_of(dst).estimate, attack):
                     expanded.append(dst)
-    return {key: outputs for key, outputs in strategy.edges.items() if key[0] in expanded}
+    return {key: outputs for key, outputs in strategy.id_edges.items() if key[0] in expanded}
 
 
 def plays(plant, strategy, simulate=simulate_play, max_rounds=60) -> list:
@@ -223,10 +226,9 @@ def test_synthesis_equals_the_full_walk_up_to_the_first_violation(instances):
             for policy in ("ranked", "first-valid"):
                 strategy = synthesize_strategy(fv, fv.parent, policy)
                 full = full_strategy(fv, fv.parent, policy)
-                assert strategy.edges == before_violation(full, attack)
-                assert strategy.initial == full.initial
-                assert strategy.ranks[strategy.initial] == full.ranks[full.initial]
-                assert strategy.ranks == {state: full.ranks[state] for state in strategy.states}
+                assert strategy.id_edges == before_violation(full, attack)
+                assert strategy.initial_id == full.initial_id
+                assert strategy.id_ranks == {i: full.id_ranks[i] for i in strategy.ids}
                 assert (validate_strategy(strategy, fv.parent, attack)
                         == validate_strategy(full, fv.parent, attack))
                 assert plays(plant, strategy) == plays(plant, full)
@@ -252,7 +254,7 @@ def test_synthesis_makes_objects_only_for_strategy_states(plant, attack_2489, mo
         serialize_strategy(strategy)
         assert len(made) <= len(strategy.ids) == size
         assert set(made) <= strategy.states
-        assert set(strategy.ranks) == strategy.states
+        assert set(strategy.id_ranks) == strategy.ids
 
 
 def test_validation_and_plays_equal_the_state_keyed_reference(instances):
@@ -285,22 +287,21 @@ def test_deep_chain_validation_and_plays_equal_the_state_keyed_reference():
 
 
 def test_strategy_decision_and_successor_lookup(ranked_2489):
-    state = aob("S", "0N", "2,3")
-    assert ranked_2489.decision(state, "b") == "Y"
-    assert ranked_2489.successor(state, "b", "0") == aob("S", "1", "5")
-    assert ranked_2489.successor(state, "b", "1") == aob("S", "1", "4")
-    assert ranked_2489.decision(aob("S", "0N", "1,10"), "a") == "N"
+    i, edges = ranked_2489.graph.id_of, ranked_2489.id_edges
+    outputs = dict(edges[i(aob("S", "0N", "2,3")), "b"])
+    assert outputs == {"Y0": i(aob("S", "1", "5")), "Y1": i(aob("S", "1", "4"))}
+    assert edges[i(aob("S", "0N", "1,10")), "a"] == (("N", i(aob("S", "0N", "2,3"))),)
 
 
 def test_every_edge_is_a_final_verifier_path(ranked_2489, fv_2489):
-    for src, event, output, dst in ranked_2489.edge_list():
-        base = src if event == EPSILON else fv_2489.step(src, event)
+    for src, event, output, dst in ranked_2489.id_edge_list(ranked_2489.names()):
+        base = src if event == EPSILON else fv_2489.target(src, event)
         assert base is not None
         if output == "N":
-            assert fv_2489.step(base, "N") == dst
+            assert fv_2489.target(base, "N") == dst
         else:
-            pending = fv_2489.step(base, "Y")
-            assert fv_2489.step(pending, output[1]) == dst
+            pending = fv_2489.target(base, "Y")
+            assert fv_2489.target(pending, output[1]) == dst
 
 
 def test_strategy_edge_shape_invariants(ranked_2489, instances):
@@ -310,9 +311,9 @@ def test_strategy_edge_shape_invariants(ranked_2489, instances):
         if enforced:
             strategies.append(synthesize_strategy(fv, fv.parent))
     for strategy in strategies:
-        for (src, event), outputs in strategy.edges.items():
+        for (src, event), outputs in strategy.id_edges.items():
             if event == EPSILON:
-                assert src == strategy.initial
+                assert src == strategy.initial_id
             kinds = [output[0] for output, _ in outputs]
             if kinds[0] == "N":
                 assert kinds == ["N"]
@@ -329,9 +330,9 @@ def test_single_state_plant_budget_zero_strategy():
     aobs = fv.parent
     strategy = synthesize_strategy(fv, aobs)
     assert strategy.n_edges == 1
-    [(src, event, output, dst)] = strategy.edge_list()
+    [(src, event, output, dst)] = strategy.id_edge_list(strategy.names())
     assert (event, output) == (EPSILON, "N")
-    assert len(dst.estimate) == 1
+    assert len(fv.state_of(dst).estimate) == 1
 
 
 def test_synthesize_rejects_empty_final_verifier(plant, attack_24):
@@ -440,20 +441,21 @@ def test_validation_follows_every_defined_attack_result():
 
 def test_play_tree_budget_and_disclosure(ranked_2489, aobs_2489, attack_2489):
     budget = attack_2489.budget
+    edges, state_of = ranked_2489.id_edges, ranked_2489.graph.state_of
     stack = [(target, 1 if output[0] == "Y" else 0)
-             for output, target in ranked_2489.outputs(ranked_2489.initial, EPSILON)]
+             for output, target in edges[ranked_2489.initial_id, EPSILON]]
     seen = set()
     while stack:
         state, used = stack.pop()
         assert used <= budget
-        if len(state.estimate) == 1:
+        if len(state_of(state).estimate) == 1:
             continue  # violation reached; play over
         if (state, used) in seen:
             continue
         seen.add((state, used))
-        for event in sorted(aobs_2489.enabled(state)):
-            outputs = ranked_2489.outputs(state, event)
-            assert outputs, f"missing edge at {state} for {event}"
+        for event, _turn in sorted(aobs_2489.kept_targets(state)):
+            outputs = edges.get((state, event))
+            assert outputs, f"missing edge at {state_of(state)} for {event}"
             for output, target in outputs:
                 stack.append((target, used + (1 if output[0] == "Y" else 0)))
 
@@ -462,8 +464,7 @@ def test_play_tree_budget_and_disclosure(ranked_2489, aobs_2489, attack_2489):
 
 
 def test_seeded_plays_disclose_the_true_state(plant, ranked_2489, attack_2489):
-    ranks = ranked_2489.ranks
-    bound = ranks[ranked_2489.initial]
+    bound = ranked_2489.id_ranks[ranked_2489.initial_id]
     for seed in range(30):
         trace = simulate_play(plant, ranked_2489, RandomSeeded(seed), 50)
         assert trace.outcome == "violated"
@@ -472,7 +473,7 @@ def test_seeded_plays_disclose_the_true_state(plant, ranked_2489, attack_2489):
 
 
 def test_adversarial_play_terminates_within_rank(plant, ranked_2489):
-    bound = ranked_2489.ranks[ranked_2489.initial]
+    bound = ranked_2489.id_ranks[ranked_2489.initial_id]
     trace = simulate_play(plant, ranked_2489, Adversarial(), 50)
     assert trace.outcome == "violated"
     assert len(trace.rounds) <= bound

@@ -138,37 +138,38 @@ def sweep_schedule_closure(aobs, attack):
     """The canonical pass order: seed the violating system-move states, then
     alternately absorb result-wait, decision, and system-move states until no
     new system-move state appears."""
+    phase = aobs.phase
     type1 = {
-        s
-        for s in aobs.states
-        if s.phase == PHASE_SYSTEM and violation_predicate(s.estimate, attack)
+        i
+        for i in aobs.ids
+        if phase[i] == PHASE_SYSTEM and violation_predicate(aobs.state_of(i).estimate, attack)
     }
     while True:
         type2 = {
-            s
-            for s in aobs.states
-            if s.phase == PHASE_AWAIT
+            i
+            for i in aobs.ids
+            if phase[i] == PHASE_AWAIT
             and all(
-                aobs.step(s, r) in type1
+                aobs.target(i, r) in type1
                 for r in ("0", "1")
-                if aobs.step(s, r) is not None
+                if aobs.target(i, r) is not None
             )
         }
         type3 = {
-            s
-            for s in aobs.states
-            if s.phase == PHASE_DECIDE
-            and any(aobs.step(s, d) in type1 | type2 for d in ("Y", "N"))
+            i
+            for i in aobs.ids
+            if phase[i] == PHASE_DECIDE
+            and any(aobs.target(i, d) in type1 | type2 for d in ("Y", "N"))
         }
         new1 = {
-            s
-            for s in aobs.states
-            if s.phase == PHASE_SYSTEM
-            and s not in type1
-            and any(aobs.step(s, e) in type3 for e in aobs.enabled(s))
+            i
+            for i in aobs.ids
+            if phase[i] == PHASE_SYSTEM
+            and i not in type1
+            and any(j in type3 for _e, j in aobs.kept_targets(i))
         }
         if not new1:
-            return frozenset(type1 | type2 | type3)
+            return frozenset(map(aobs.state_of, type1 | type2 | type3))
         type1 |= new1
 
 
@@ -187,9 +188,10 @@ def test_verifier_fixture_sixteen_states(aobs_24, attack_24):
     closure = intermediate_violating_fixpoint(aobs_24, attack_24)
     verifier = build_verifier(aobs_24, closure)
     assert verifier.states == frozenset(EXPECTED_CLOSURE_24)
-    assert verifier.step(aob("S", "0N", "1,10"), "a") == aob("A", "0", "2,3")
-    assert verifier.step(aob("S", "0N", "1,10"), "d") is None  # pruned branch
-    assert verifier.step(aob("AY", "0Y", "2,3"), "0") == aob("S", "1", "3")
+    i = verifier.id_of
+    assert verifier.target(i(aob("S", "0N", "1,10")), "a") == i(aob("A", "0", "2,3"))
+    assert verifier.target(i(aob("S", "0N", "1,10")), "d") is None  # pruned branch
+    assert verifier.target(i(aob("AY", "0Y", "2,3")), "0") == i(aob("S", "1", "3"))
 
 
 def test_verifier_empty_when_initial_not_kept(aobs_24):
@@ -217,8 +219,9 @@ def test_verifier_states_all_in_closure_and_transitions_in_parent(instances):
         _, verifier = check_violation(plant, attack)
         closure = intermediate_violating_fixpoint(verifier.parent, attack)
         assert verifier.states <= closure
+        full = verifier.parent
         for (src, label), dst in verifier.transitions.items():
-            assert verifier.parent.step(src, label) == dst
+            assert full.target(full.id_of(src), label) == full.id_of(dst)
 
 
 def test_budget_zero_collapses_to_classic_checks(instances):
