@@ -7,14 +7,19 @@ estimates as bitmasks over the plant states. It equals the paper's
 construction, the turn and budget structure (``bounded_game_structure``)
 composed with the observer of the attacked plant (``system_attack_model``,
 ``observer``), which stays in ``attackmodel`` and ``automata`` as the
-reference the tests check this builder against.
+reference the tests check this builder against. The worklist finds the
+nodes it has met through one ``{mask: id}`` index per phase and counter
+value, made on demand, and only for decision and plain system nodes: the
+other nodes have a single parent, the decision node they follow.
 
-Nodes are integer ids in worklist order. The violation closure, the
-holdable region, the ranks and the witness are computed on the ids, the
-per-node (phase, count, tag, mask) keys and the successor lists, and
-restrictions are kept-id views over the same lists. ``AObsState`` objects
-are the state-level view of a node: made when a caller asks for one, once
-per node, and never on the way to a verdict."""
+Nodes are integer ids in worklist order, which is breadth first. The
+violation closure, the holdable region, the ranks and the witness are
+computed on the ids, the per-node (phase, count, tag, mask) keys and the
+successor lists, and restrictions are kept-id views over the same lists. A
+verifier whose closure holds every node is the full graph itself: a
+restriction to every node would walk them in id order and keep them all.
+``AObsState`` objects are the state-level view of a node: made when a
+caller asks for one, once per node, and never on the way to a verdict."""
 
 from __future__ import annotations
 
@@ -38,6 +43,9 @@ from .automata import Nfa, StateEstimate, _natural_key
 
 _REACHED = bytes([0, 0, 1]) + bytes(253)  # ``restrict_ids``' marks -> kept flags
 _counter = functools.cache(GameCounter)  # (count, tag) -> its one GameCounter, in every graph
+# The label tuples of decision and result-wait nodes.
+_NO_AND_YES, _NO_ONLY = (ATTACK_NO, ATTACK_YES), (ATTACK_NO,)
+_IN_AND_OUT, _IN_ONLY, _OUT_ONLY = (RESULT_IN, RESULT_OUT), (RESULT_IN,), (RESULT_OUT,)
 
 
 @dataclass(frozen=True, order=True)
@@ -95,7 +103,7 @@ class AttackObserver:
         self.labels = labels
         self.targets = targets
         self.initial_id: int | None = initial
-        self.ids = range(len(nodes))
+        self.ids = list(range(len(nodes)))  # a list: iterating it makes no int objects
         self.kept = bytearray(b"\x01") * len(nodes)
         self.degree = list(map(len, targets))  # id -> its transitions kept here
         self._parent = None  # the full graph holds no cycle to itself
@@ -277,6 +285,13 @@ def build_attack_observer(g: Nfa, attack: AttackSpec) -> AttackObserver:
     when that part is nonempty, (AY,kY) -r-> (S,k+1); a plant event moves a
     system state to the nonempty image, (S,kN) or (S,k) -e-> (A,k). Nodes are
     numbered in the order the worklist meets them, so the initial node is 0.
+
+    A decision node is the only predecessor of its two children, so they are
+    appended without a lookup. Only decision nodes (A,k) and plain system
+    nodes (S,k) can be met twice: they are found through one ``{mask: id}``
+    index per phase and counter value, made when the worklist first reaches
+    that value, so nothing is sized by the budget. A system move depends on
+    the mask alone: its labels and nonempty images are computed once per mask.
     """
     attack.validate_for(g)
     order = sorted(g.states, key=_natural_key)
@@ -288,44 +303,61 @@ def build_attack_observer(g: Nfa, attack: AttackSpec) -> AttackObserver:
     tables = [successors[event] for event in events]
     attacked = sum(1 << index[state] for state in attack.attacked)
     budget = attack.budget
-    images: dict = {}  # mask -> its image under each event, in ``events`` order
+    system_moves: dict = {}  # mask -> (labels, nonempty images) of its system nodes
+    label_tuples: dict = {}
 
-    nodes: list = [(PHASE_DECIDE, 0, "", sum(1 << index[state] for state in g.initial))]
-    ids: dict = {nodes[0]: 0}
+    initial = sum(1 << index[state] for state in g.initial)
+    nodes: list = [(PHASE_DECIDE, 0, "", initial)]
+    decisions: dict = {0: {initial: 0}}  # count -> {mask: id} of the (A,count) nodes
+    plain: dict = {}  # count -> {mask: id} of the (S,count) nodes
     labels: list = []
     targets: list = []
-    label_tuples: dict = {}
     for phase, count, _tag, mask in nodes:  # the worklist: nodes grows while it is walked
         if phase == PHASE_DECIDE:
-            moves = [(ATTACK_NO, (PHASE_SYSTEM, count, "N", mask))]
+            j = len(nodes)
+            nodes.append((PHASE_SYSTEM, count, "N", mask))
             if count < budget:
-                moves.append((ATTACK_YES, (PHASE_AWAIT, count, "Y", mask)))
-        elif phase == PHASE_AWAIT:
-            moves = [
-                (RESULT_IN, (PHASE_SYSTEM, count + 1, "", mask & attacked)),
-                (RESULT_OUT, (PHASE_SYSTEM, count + 1, "", mask & ~attacked)),
-            ]
+                nodes.append((PHASE_AWAIT, count, "Y", mask))
+                labels.append(_NO_AND_YES)
+                targets.append((j, j + 1))
+            else:
+                labels.append(_NO_ONLY)
+                targets.append((j,))
+            continue
+        # The children's phase, counter and indexes, and their nonempty masks.
+        if phase == PHASE_AWAIT:
+            phase, layers, count = PHASE_SYSTEM, plain, count + 1
+            inside, outside = mask & attacked, mask & ~attacked
+            if not outside:
+                out_labels, parts = _IN_ONLY, (inside,)
+            elif not inside:
+                out_labels, parts = _OUT_ONLY, (outside,)
+            else:
+                out_labels, parts = _IN_AND_OUT, (inside, outside)
         else:
-            image = images.get(mask)
-            if image is None:
-                image = images[mask] = [0] * len(events)
+            phase, layers = PHASE_DECIDE, decisions
+            moves = system_moves.get(mask)
+            if moves is None:
+                image = [0] * len(events)
                 for b in _bits(mask):
                     for e, table in enumerate(tables):
                         image[e] |= table[b]
-            moves = [(event, (PHASE_DECIDE, count, "", part)) for event, part in zip(events, image)]
-        out_labels = []
-        out_targets = []
-        for label, key in moves:
-            if key[3]:  # an empty estimate: no transition
-                j = ids.get(key)
-                if j is None:
-                    j = ids[key] = len(nodes)
-                    nodes.append(key)
-                out_labels.append(label)
-                out_targets.append(j)
-        key = tuple(out_labels)
-        labels.append(label_tuples.setdefault(key, key))
-        targets.append(tuple(out_targets))
+                key = tuple(event for event, part in zip(events, image) if part)
+                moves = (label_tuples.setdefault(key, key), [part for part in image if part])
+                system_moves[mask] = moves
+            out_labels, parts = moves
+        layer = layers.get(count)
+        if layer is None:
+            layer = layers[count] = {}
+        out = []
+        for part in parts:
+            j = layer.get(part)
+            if j is None:
+                j = layer[part] = len(nodes)
+                nodes.append((phase, count, "", part))
+            out.append(j)
+        labels.append(out_labels)
+        targets.append(tuple(out))
     return AttackObserver(attack, order, nodes, labels, targets)
 
 

@@ -17,7 +17,10 @@ def final_verifier(v: AttackObserver, aobs: AttackObserver, strict_paper: bool =
     The system expels the intruder from a system-move state by any event and
     from a result-wait state by any result, or never with ``strict_paper``;
     a decision state expels the intruder when all of its decisions do.
+    A verifier that keeps every node of ``aobs`` leaves nothing to expel.
     """
+    if len(v.ids) == len(aobs.ids):
+        return v
     await_need = 0 if strict_paper else 1
     need = [
         (d if p == PHASE_DECIDE else 1 if p == PHASE_SYSTEM else await_need) if k else 0

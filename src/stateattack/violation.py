@@ -65,8 +65,17 @@ def intermediate_violating_fixpoint(aobs: AttackObserver, attack: AttackSpec) ->
 
 def build_verifier(aobs: AttackObserver, violating_reachable: Iterable[AObsState]) -> AttackObserver:
     """Restrict the attack observer to the violating-reachable states."""
-    ids = (aobs.id_of(state) for state in violating_reachable)
-    return aobs.restrict_ids([i for i in ids if i is not None])
+    keep = {aobs.id_of(state) for state in violating_reachable}
+    keep.discard(None)
+    return _verifier(aobs, keep)
+
+
+def _verifier(aobs: AttackObserver, closure) -> AttackObserver:
+    """``aobs`` restricted to the ids in ``closure``, or ``aobs`` itself when
+    the closure holds every node: the builder numbers nodes breadth first, so
+    the restricting walk would meet them all in id order and keep every
+    transition."""
+    return aobs if len(closure) == len(aobs.ids) else aobs.restrict_ids(closure)
 
 
 def witness_labels(verifier: AttackObserver, attack: AttackSpec) -> list | None:
@@ -97,5 +106,5 @@ def check_violation(g: Nfa, attack: AttackSpec) -> tuple[bool, AttackObserver]:
     violating estimates, and restrict. The verdict is the nonemptiness of the
     resulting verifier."""
     aobs = build_attack_observer(g, attack)
-    verifier = aobs.restrict_ids(violating_closure(aobs, attack))
+    verifier = _verifier(aobs, violating_closure(aobs, attack))
     return (not verifier.is_empty, verifier)

@@ -1,20 +1,26 @@
 """Shared fixtures: the ten-state running example, compact constructors for
 attack-observer states, the deterministic random-instance corpus, the
-paper's composed construction of the attack observer, the strategy
-synthesis that walks on past the first violation, and the reference
-strategy validation and play simulation that test the violating predicate
-on estimates."""
+paper's composed construction of the attack observer, the worklist builder
+with one index over whole node keys that ``build_attack_observer``
+replaced, the strategy synthesis that walks on past the first violation,
+and the reference strategy validation and play simulation that test the
+violating predicate on estimates."""
 
 import random
 from collections import deque
 
 from stateattack import AttackSpec, Nfa
-from stateattack.aobs import AObsState, AttackObserver
+from stateattack.aobs import AObsState, AttackObserver, _bits
 from stateattack.attackmodel import (
     ATTACK_NO,
     ATTACK_YES,
     EPSILON,
+    PHASE_AWAIT,
+    PHASE_DECIDE,
+    PHASE_SYSTEM,
+    RESULT_IN,
     RESULT_LABELS,
+    RESULT_OUT,
     GameCounter,
     bounded_game_structure,
     system_attack_model,
@@ -142,6 +148,60 @@ def composed_attack_observer(g: Nfa, attack: AttackSpec) -> AttackObserver:
     labels = [tuple(label for label, _ in edges) for edges in outgoing]
     targets = [tuple(dst for _, dst in edges) for edges in outgoing]
     return AttackObserver(attack, order, nodes, labels, targets, ids[flatten(composed.initial)])
+
+
+def worklist_attack_observer(g: Nfa, attack: AttackSpec) -> AttackObserver:
+    """The attack observer built in one worklist with a single index over
+    the whole (phase, count, tag, mask) node keys: every move looks its
+    target up there. ``build_attack_observer`` must give the same graph,
+    node for node and id for id."""
+    attack.validate_for(g)
+    order = sorted(g.states, key=_natural_key)
+    index = {state: i for i, state in enumerate(order)}
+    events = sorted(g.events)
+    successors = {event: [0] * len(order) for event in events}
+    for src, event, dst in g.transitions:
+        successors[event][index[src]] |= 1 << index[dst]
+    tables = [successors[event] for event in events]
+    attacked = sum(1 << index[state] for state in attack.attacked)
+    budget = attack.budget
+    images: dict = {}  # mask -> its image under each event, in ``events`` order
+
+    nodes: list = [(PHASE_DECIDE, 0, "", sum(1 << index[state] for state in g.initial))]
+    ids: dict = {nodes[0]: 0}
+    labels: list = []
+    targets: list = []
+    for phase, count, _tag, mask in nodes:  # the worklist: nodes grows while it is walked
+        if phase == PHASE_DECIDE:
+            moves = [(ATTACK_NO, (PHASE_SYSTEM, count, "N", mask))]
+            if count < budget:
+                moves.append((ATTACK_YES, (PHASE_AWAIT, count, "Y", mask)))
+        elif phase == PHASE_AWAIT:
+            moves = [
+                (RESULT_IN, (PHASE_SYSTEM, count + 1, "", mask & attacked)),
+                (RESULT_OUT, (PHASE_SYSTEM, count + 1, "", mask & ~attacked)),
+            ]
+        else:
+            image = images.get(mask)
+            if image is None:
+                image = images[mask] = [0] * len(events)
+                for b in _bits(mask):
+                    for e, table in enumerate(tables):
+                        image[e] |= table[b]
+            moves = [(event, (PHASE_DECIDE, count, "", part)) for event, part in zip(events, image)]
+        out_labels = []
+        out_targets = []
+        for label, key in moves:
+            if key[3]:  # an empty estimate: no transition
+                j = ids.get(key)
+                if j is None:
+                    j = ids[key] = len(nodes)
+                    nodes.append(key)
+                out_labels.append(label)
+                out_targets.append(j)
+        labels.append(tuple(out_labels))
+        targets.append(tuple(out_targets))
+    return AttackObserver(attack, order, nodes, labels, targets)
 
 
 def _full_decision(fv, ranks, policy, reference, turn) -> str:

@@ -1,9 +1,11 @@
 """The attack-observer game graph: the worklist builder against the paper's
-composed construction, fixture sizes, transition chains, phases, and
-the estimate-filtering semantics cross-checked against the direct trace
-evaluation."""
+composed construction and the builder with one index over whole node keys,
+the builder's memory at huge budgets, fixture sizes, transition chains,
+phases, and the estimate-filtering semantics cross-checked against the
+direct trace evaluation."""
 
 import random
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from helpers import (
     aob,
     composed_attack_observer,
     random_instance,
+    worklist_attack_observer,
 )
 
 from stateattack import (
@@ -43,12 +46,20 @@ from stateattack import (
 from stateattack.oracle import AttackRound, AttackTrace
 
 SAMPLES = Path(__file__).parent.parent / "samples"
+COLUMNS = ("phase", "count", "tag", "mask", "labels", "targets", "degree")
 
 
 def assert_matches_reference(plant, attack):
-    """The builder's graph equals the composed one and holds one object per
-    state."""
+    """The builder's graph equals the composed one, holds one object per
+    state, and equals the single-index worklist build id for id. Restricting
+    it to all its ids walks them in id order, as the verdicts' full-cover
+    shortcut and a second build's strategy lookups rely on."""
     built = build_attack_observer(plant, attack)
+    worklist = worklist_attack_observer(plant, attack)
+    for column in COLUMNS:
+        assert list(getattr(built, column)) == list(getattr(worklist, column)), column
+    assert built.ids == list(range(len(worklist.ids)))
+    assert built.restrict_ids(built.ids).ids == built.ids
     reference = composed_attack_observer(plant, attack)
     assert built.states == reference.states
     assert built.transitions == reference.transitions
@@ -127,6 +138,23 @@ def test_builder_masks_wider_than_a_machine_word():
     assert aobs.initial.estimate.members == tuple(names)
     assert aobs.run(["Y", "0"]).estimate.members == tuple(n for n in names if n not in attacked)
     assert aobs.run(["N", "b"]).estimate.members == ("s69",)
+
+
+def test_builder_memory_does_not_grow_with_the_budget():
+    """The plays die after two attacks: any budget from 2 up gives the same
+    twelve nodes, and the builder allocates nothing per unused count."""
+    g = Nfa(["1", "2"], ["a"], [("1", "a", "2")], ["1", "2"])
+    tracemalloc.start()
+    try:
+        aobs = build_attack_observer(g, AttackSpec(frozenset({"1"}), 10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(aobs.ids), aobs.n_transitions, max(aobs.count)) == (12, 12, 2)
+    assert peak < 1 << 20
+    small = build_attack_observer(g, AttackSpec(frozenset({"1"}), 2))
+    for column in COLUMNS:
+        assert getattr(aobs, column) == getattr(small, column), column
 
 
 def test_attack_observer_fixture_34_states(aobs_24):

@@ -1,6 +1,7 @@
 """Enforcement analysis: which states of each type the pruning holds, the
-pruning to the holdable region, its order-insensitivity, and the
-enforcement verdict."""
+pruning to the holdable region, its order-insensitivity, the verdicts'
+shortcuts for a verifier that keeps every node, and the enforcement
+verdict."""
 
 import pytest
 
@@ -8,14 +9,20 @@ from helpers import aob
 
 from stateattack import (
     PHASE_AWAIT,
+    PHASE_DECIDE,
     PHASE_SYSTEM,
     AttackObserver,
     AttackSpec,
     Nfa,
+    build_verifier,
     check_enforced,
     check_violation,
     final_verifier,
+    rank_ids,
+    witness_labels,
 )
+from stateattack.aobs import attractor
+from stateattack.violation import intermediate_violating_fixpoint, violating_closure
 
 DEADLOCKED = Nfa(["x"], ["a"], [], ["x"])  # one state with no transition
 
@@ -196,3 +203,44 @@ def test_pruning_is_order_insensitive(plant, attack_24, attack_2489, instances, 
         expected = verifier.parent.restrict_ids(closed)
         assert fv.states == expected.states
         assert fv.transitions == expected.transitions
+
+
+def pruned_by_attractor(v: AttackObserver, strict_paper: bool) -> AttackObserver:
+    """``final_verifier`` without its full-cover shortcut: the system's
+    attractor to the nodes ``v`` leaves out, and the restriction to the
+    rest."""
+    aobs = v.parent
+    await_need = 0 if strict_paper else 1
+    need = [
+        (d if p == PHASE_DECIDE else 1 if p == PHASE_SYSTEM else await_need) if k else 0
+        for p, d, k in zip(v.phase, aobs.degree, v.kept)
+    ]
+    expelled = attractor(aobs, [i for i in aobs.ids if not v.kept[i]], need)
+    return aobs.restrict_ids([i for i in v.ids if i not in expelled])
+
+
+def assert_same_restriction(graph: AttackObserver, reference: AttackObserver, attack) -> None:
+    assert list(graph.ids) == list(reference.ids)
+    assert graph.kept == reference.kept
+    assert graph.degree == reference.degree
+    assert graph.n_transitions == reference.n_transitions
+    assert witness_labels(graph, attack) == witness_labels(reference, attack)
+    assert rank_ids(graph, attack) == rank_ids(reference, attack)
+
+
+@pytest.mark.parametrize("strict_paper", [False, True], ids=["default", "strict"])
+def test_full_cover_shortcuts_equal_the_restrictions(instances, strict_paper):
+    """A closure that holds every node makes the verifier the full graph and
+    the final verifier that same graph; both equal the restricting path."""
+    shortcuts = 0
+    for plant, attack in instances:
+        _, verifier = check_violation(plant, attack)
+        aobs = verifier.parent
+        restricted = aobs.restrict_ids(violating_closure(aobs, attack))
+        assert_same_restriction(verifier, restricted, attack)
+        traced = build_verifier(aobs, intermediate_violating_fixpoint(aobs, attack))
+        assert (traced is aobs) == (verifier is aobs)
+        fv = final_verifier(verifier, aobs, strict_paper)
+        assert_same_restriction(fv, pruned_by_attractor(restricted, strict_paper), attack)
+        shortcuts += verifier is aobs
+    assert (shortcuts, len(instances) - shortcuts) == (112, 108)
