@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .automata import Dfa, Nfa, compose
+from .automata import Dfa, Nfa, check_secret_set, check_states, compose
 
 ATTACK_YES = "Y"
 ATTACK_NO = "N"
@@ -30,9 +30,16 @@ def check_plant_events(events: Iterable[str]) -> None:
     clash = frozenset(events) & RESERVED_LABELS
     if clash:
         raise ValueError(
-            f"plant events {sorted(clash)!r} collide with the reserved labels "
-            f"{sorted(RESERVED_LABELS)!r}"
+            f"reserved label: events {sorted(clash)!r} are reserved for the attack game"
         )
+
+
+def _check_budget(budget) -> None:
+    if not isinstance(budget, int) or isinstance(budget, bool):
+        kind = type(budget).__name__
+        raise ValueError(f"syntax error: the attack budget must be an integer, not {kind}")
+    if budget < 0:
+        raise ValueError(f"negative budget: {budget}")
 
 
 @dataclass(frozen=True, order=True)
@@ -68,21 +75,20 @@ class AttackSpec:
         object.__setattr__(self, "attacked", frozenset(self.attacked))
         if self.secret is not None:
             object.__setattr__(self, "secret", frozenset(self.secret))
-        if not isinstance(self.budget, int) or self.budget < 0:
-            raise ValueError("the attack budget must be a non-negative integer")
+        _check_budget(self.budget)
 
     @property
     def mode(self) -> str:
         return "anonymity" if self.secret is None else "opacity"
 
     def validate_for(self, plant: Nfa) -> None:
+        """Raise unless the attack game on ``plant`` is well formed: no plant
+        event is a reserved label, the attacked states are plant states, and
+        so is a secret set that leaves some state out."""
         check_plant_events(plant.events)
-        if not self.attacked <= plant.states:
-            extra = sorted(self.attacked - plant.states, key=str)
-            raise ValueError(f"attacked states {extra!r} are not plant states")
+        check_states(self.attacked, plant.states, "attacked states")
         if self.secret is not None:
-            if not self.secret <= plant.states or self.secret == plant.states:
-                raise ValueError("secret states must form a proper subset of the plant states")
+            check_secret_set(plant, self.secret)
 
 
 def system_attack_model(g: Nfa, attacked: Iterable) -> Nfa:
@@ -90,9 +96,7 @@ def system_attack_model(g: Nfa, attacked: Iterable) -> Nfa:
     "0" everywhere else."""
     check_plant_events(g.events)
     attacked = frozenset(attacked)
-    if not attacked <= g.states:
-        extra = sorted(attacked - g.states, key=str)
-        raise ValueError(f"attacked states {extra!r} are not plant states")
+    check_states(attacked, g.states, "attacked states")
     loops = {
         (state, RESULT_IN if state in attacked else RESULT_OUT, state)
         for state in g.states
@@ -114,8 +118,7 @@ def number_attack_model(events: Iterable[str], budget: int) -> Dfa:
     """
     events = frozenset(events)
     check_plant_events(events)
-    if not isinstance(budget, int) or budget < 0:
-        raise ValueError("the attack budget must be a non-negative integer")
+    _check_budget(budget)
     plain = [GameCounter(k, "") for k in range(budget + 1)]
     waiting = [GameCounter(k, "N") for k in range(budget + 1)]
     attacking = [GameCounter(k, "Y") for k in range(budget)]

@@ -80,15 +80,10 @@ class Nfa:
         self.initial = frozenset(initial)
         if not self.initial:
             raise ValueError("an NFA needs at least one initial state")
-        if not self.initial <= self.states:
-            raise ValueError("initial states must be declared states")
+        _check_declared(self, self.initial, self.transitions)
         succ: dict = {}
         enabled: dict = {}
         for src, label, dst in self.transitions:
-            if src not in self.states or dst not in self.states:
-                raise ValueError(f"transition endpoint {src!r} or {dst!r} is not a declared state")
-            if label not in self.events:
-                raise ValueError(f"transition label {label!r} is not a declared event")
             succ.setdefault((src, label), set()).add(dst)
             enabled.setdefault(src, set()).add(label)
         self._succ = {key: frozenset(value) for key, value in succ.items()}
@@ -142,25 +137,11 @@ class Dfa:
         self.events = frozenset(events)
         self.transitions = dict(transitions)
         self.initial = initial
-        if self.initial not in self.states:
-            raise ValueError("the initial state must be a declared state")
-        for (src, label), dst in self.transitions.items():
-            if src not in self.states or dst not in self.states:
-                raise ValueError(f"transition endpoint {src!r} or {dst!r} is not a declared state")
-            if label not in self.events:
-                raise ValueError(f"transition label {label!r} is not a declared event")
+        edges = ((src, label, dst) for (src, label), dst in self.transitions.items())
+        _check_declared(self, frozenset([initial]), edges)
 
     def step(self, state: State, label: Label):
         return self.transitions.get((state, label))
-
-    def run(self, labels: Iterable[Label]):
-        """Fold the transition function over ``labels``; None once undefined."""
-        state = self.initial
-        for label in labels:
-            if state is None:
-                return None
-            state = self.transitions.get((state, label))
-        return state
 
     def __repr__(self) -> str:
         return (
@@ -170,6 +151,39 @@ class Dfa:
 
 
 Automaton = Union[Nfa, Dfa]
+
+
+def check_states(names: frozenset, states: frozenset, what: str) -> None:
+    """Raise the "unknown identifier" diagnostic unless all ``names`` are
+    among the declared ``states``; ``what`` says which names they are."""
+    unknown = names - states
+    if unknown:
+        listed = sorted(unknown, key=str)
+        raise ValueError(f"unknown identifier: {what} {listed!r} are not declared states")
+
+
+def _check_declared(auto: Automaton, initial: frozenset, edges: Iterable[tuple]) -> None:
+    """The initial states and every (source, label, target) edge of ``auto``
+    use only its declared states and events."""
+    check_states(initial, auto.states, "initial states")
+    for edge in edges:
+        src, label, dst = edge
+        if src not in auto.states or dst not in auto.states:
+            raise ValueError(
+                f"unknown identifier: transition endpoint in {edge!r} is not a declared state"
+            )
+        if label not in auto.events:
+            raise ValueError(
+                f"unknown identifier: transition label in {edge!r} is not a declared event"
+            )
+
+
+def check_secret_set(g: Nfa, secret: frozenset) -> None:
+    """Raise unless the ``secret`` states are plant states of ``g`` that
+    leave at least one state out."""
+    check_states(secret, g.states, "secret states")
+    if secret == g.states:
+        raise ValueError("invalid secret set: it must not cover every plant state")
 
 
 def observer(g: Nfa) -> Dfa:
@@ -263,8 +277,7 @@ def check_anonymity_classic(g: Nfa) -> bool:
 def check_opacity_classic(g: Nfa, secret: Iterable[State]) -> bool:
     """True when every reachable estimate intersects the non-secret states."""
     secret = frozenset(secret)
-    if not secret <= g.states or secret == g.states:
-        raise ValueError("secret states must form a proper subset of the plant states")
+    check_secret_set(g, secret)
     nonsecret = g.states - secret
     return all(
         any(member in nonsecret for member in estimate)

@@ -150,6 +150,7 @@ def oracle_check_violation(g: Nfa, attack: AttackSpec, horizon: int | None = Non
     without any bound."""
     if horizon is not None and horizon < 1:
         raise ValueError("horizon must be at least 1")
+    attack.validate_for(g)
     attacked = attack.attacked
     nonattacked = g.states - attacked
     budget = attack.budget
@@ -219,6 +220,7 @@ def oracle_check_enforced(g: Nfa, attack: AttackSpec) -> bool:
     must hold for every defined result / enabled event. The verdict is
     membership of the initial node in the largest such self-sustaining set
     of violation-reachable nodes."""
+    attack.validate_for(g)
     nonattacked = g.states - attack.attacked
     budget = attack.budget
 

@@ -8,15 +8,20 @@ import json
 import re
 
 from .aobs import AttackObserver
-from .attackmodel import PHASE_AWAIT, PHASE_DECIDE, PHASE_SYSTEM, RESERVED_LABELS, AttackSpec
+from .attackmodel import PHASE_AWAIT, PHASE_DECIDE, PHASE_SYSTEM, AttackSpec, check_plant_events
 from .automata import Dfa, Nfa, _natural_key
 from .strategy import MealyStrategy
 
 
 class InputError(ValueError):
-    """Malformed model or attack document; the message carries the diagnostic
-    category (syntax error, unknown identifier, reserved label, reserved
-    character, negative budget)."""
+    """Malformed model or attack document; the message leads with its
+    category. The parsers raise "syntax error" (the document's shape) and
+    "reserved character" (a state name holding ',', '{' or '}'). The rest
+    come from the type owning the rule, as a ValueError the parsers re-raise:
+    "unknown identifier" from ``Nfa`` and ``AttackSpec.validate_for``,
+    "reserved label" from ``check_plant_events``, "negative budget" and a
+    non-integer budget's "syntax error" from ``AttackSpec``, and "invalid
+    secret set" from ``check_secret_set``."""
 
 
 def _load_json(text: str, what: str) -> dict:
@@ -51,35 +56,24 @@ def parse_model(text: str) -> Nfa:
     states = _string_list(document, "states", "model")
     events = _string_list(document, "events", "model")
     initial = _string_list(document, "initial", "model")
-    raw_transitions = document.get("transitions")
-    if not isinstance(raw_transitions, list):
+    transitions = document.get("transitions")
+    if not isinstance(transitions, list):
         raise InputError("syntax error in model document: 'transitions' must be a list")
-    reserved = sorted(set(events) & RESERVED_LABELS)
-    if reserved:
-        raise InputError(f"reserved label: events {reserved!r} are reserved for the attack game")
-    if _RESERVED_CHARS.search("".join(states)):
-        clash = [name for name in states if _RESERVED_CHARS.search(name)]
-        raise InputError(f"reserved character: state names {clash!r} hold ',', '{{' or '}}'")
-    state_set = set(states)
-    event_set = set(events)
-    for name in initial:
-        if name not in state_set:
-            raise InputError(f"unknown identifier: initial state {name!r} is not declared")
-    if not initial:
-        raise InputError("syntax error in model document: at least one initial state is required")
-    transitions = []
-    for row in raw_transitions:
+    for row in transitions:
         if not (isinstance(row, list) and len(row) == 3 and all(isinstance(x, str) for x in row)):
             raise InputError(
                 "syntax error in model document: each transition must be [source, event, target]"
             )
-        src, event, dst = row
-        if src not in state_set or dst not in state_set:
-            raise InputError(f"unknown identifier: transition endpoint in {row!r} is not declared")
-        if event not in event_set:
-            raise InputError(f"unknown identifier: transition event in {row!r} is not declared")
-        transitions.append((src, event, dst))
-    return Nfa(states, events, transitions, initial)
+    if not initial:
+        raise InputError("syntax error in model document: at least one initial state is required")
+    if _RESERVED_CHARS.search("".join(states)):
+        clash = [name for name in states if _RESERVED_CHARS.search(name)]
+        raise InputError(f"reserved character: state names {clash!r} hold ',', '{{' or '}}'")
+    try:
+        check_plant_events(events)
+        return Nfa(states, events, transitions, initial)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def serialize_model(g: Nfa) -> str:
@@ -100,34 +94,24 @@ def parse_spec(text: str, model: Nfa) -> AttackSpec:
     """
     document = _load_json(text, "attack")
     attacked = _string_list(document, "attacked_states", "attack")
-    for name in attacked:
-        if name not in model.states:
-            raise InputError(f"unknown identifier: attacked state {name!r} is not a plant state")
-    budget = document.get("budget")
-    if not isinstance(budget, int) or isinstance(budget, bool):
-        raise InputError("syntax error in attack document: 'budget' must be an integer")
-    if budget < 0:
-        raise InputError(f"negative budget: {budget}")
     mode = document.get("mode", "anonymity")
     secret = None
-    if mode == "anonymity":
-        pass
-    elif isinstance(mode, dict) and set(mode) == {"opacity"}:
+    if isinstance(mode, dict) and set(mode) == {"opacity"}:
         inner = mode["opacity"]
         if not isinstance(inner, dict):
             raise InputError("syntax error in attack document: 'opacity' must be an object")
         secret = _string_list(inner, "secret_states", "attack")
-        for name in secret:
-            if name not in model.states:
-                raise InputError(f"unknown identifier: secret state {name!r} is not a plant state")
-        if frozenset(secret) == model.states:
-            raise InputError("invalid secret set: it must not cover every plant state")
-    else:
+    elif mode != "anonymity":
         raise InputError(
             "syntax error in attack document: 'mode' must be \"anonymity\" "
             "or {\"opacity\": {\"secret_states\": [...]}}"
         )
-    return AttackSpec(frozenset(attacked), budget, None if secret is None else frozenset(secret))
+    try:
+        attack = AttackSpec(attacked, document.get("budget"), secret)
+        attack.validate_for(model)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    return attack
 
 
 def serialize_spec(attack: AttackSpec) -> str:

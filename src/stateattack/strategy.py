@@ -298,14 +298,6 @@ class PlayTrace:
     rounds: tuple
     outcome: str  # "violated", "exhausted", or "stalled"
 
-    @property
-    def final_estimate(self) -> StateEstimate | None:
-        return self.rounds[-1].estimate if self.rounds else None
-
-    @property
-    def final_true_state(self):
-        return self.rounds[-1].true_state if self.rounds else None
-
 
 def simulate_play(
     g: Nfa,

@@ -147,7 +147,7 @@ def test_game_structure_shape():
 
 def test_game_structure_round_trip():
     game = game_structure(EVENTS)
-    assert game.run(["Y", "0", "a"]) == "A"
+    assert game.step(game.step(game.step(game.initial, "Y"), "0"), "a") == "A"
 
 
 # --- bounded composition -----------------------------------------------------

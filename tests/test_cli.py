@@ -1,13 +1,22 @@
 """Command-line behavior: reports, artifacts, and the exit-code contract."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from helpers import TEN_STATE_TRANSITIONS
 
-from stateattack.cli import main
+import stateattack
+from stateattack.cli import STAGES, main
 
 
 @pytest.fixture()
@@ -423,3 +432,82 @@ def test_unexpected_error_is_one_line_exit_4(capsys, monkeypatch, model_path, sp
     assert code == 4
     assert captured.out == ""
     assert captured.err == "error: RuntimeError: internal breach\n"
+
+
+def test_importing_the_package_leaves_the_cli_out():
+    """The command line and argparse load only when a command runs."""
+    src = str(Path(stateattack.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, stateattack; print({'stateattack.cli', 'argparse'} & sys.modules.keys())"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "set()\n"
+
+
+# --- malformed documents, generated ------------------------------------------
+
+COMMANDS = (
+    "observer", "check-classic", "build-aobs", "check-violation", "check-enforced",
+    "synthesize", "simulate", "oracle", "export-dot",
+)
+ATTACK_SAMPLES = ("attack-narrow.json", "attack-opacity.json", "attack-wide.json")
+# No replacement is an integer above the samples' budget of 1, so no mutated
+# document asks for a bigger game than the samples do.
+WRONG_VALUES = (None, 0, -1, 1.5, True, "x", "", [], {}, float("nan"))
+
+
+@hs.composite
+def mutated(draw, value):
+    """``value`` with one part changed: replaced by a value of another type,
+    wrapped in a list, dropped, or duplicated within its list."""
+    if isinstance(value, (dict, list)) and value and draw(hs.booleans()):
+        copy = dict(value) if isinstance(value, dict) else list(value)
+        key = draw(hs.sampled_from(sorted(copy) if isinstance(copy, dict) else range(len(copy))))
+        change = draw(hs.sampled_from(("inside", "drop", "duplicate")))
+        if change == "drop":
+            del copy[key]
+        elif change == "duplicate" and isinstance(copy, list):
+            copy.append(copy[key])
+        else:
+            copy[key] = draw(mutated(copy[key]))
+        return copy
+    return [value] if draw(hs.booleans()) else draw(hs.sampled_from(WRONG_VALUES))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=hs.sampled_from(COMMANDS),
+    attack_name=hs.sampled_from(ATTACK_SAMPLES),
+    data=hs.data(),
+)
+def test_mutated_samples_exit_cleanly(command, attack_name, data):
+    """Every subcommand ends a mutated sample document with a report or one
+    ``error:`` line: never a traceback and never the exit code of an
+    unforeseen error."""
+    model = json.loads((SAMPLES / "model.json").read_text())
+    attack = json.loads((SAMPLES / attack_name).read_text())
+    if data.draw(hs.booleans(), label="mutate the model"):
+        model = data.draw(mutated(model), label="model")
+    else:
+        attack = data.draw(mutated(attack), label="attack")
+    with tempfile.TemporaryDirectory() as folder:
+        model_file, attack_file = Path(folder, "model.json"), Path(folder, "attack.json")
+        model_file.write_text(json.dumps(model))
+        attack_file.write_text(json.dumps(attack))
+        argv = [command, "--model", str(model_file)]
+        if command != "observer":
+            argv += ["--spec", str(attack_file)]
+        if command == "export-dot":
+            argv += ["--stage", data.draw(hs.sampled_from(STAGES), label="stage")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    lines = err.getvalue().splitlines()
+    assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: "))

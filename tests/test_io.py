@@ -13,10 +13,14 @@ from stateattack import (
     InputError,
     Nfa,
     RANKED,
+    build_attack_observer,
     check_enforced,
+    check_opacity_classic,
     check_violation,
     export_dot,
     observer,
+    oracle_check_enforced,
+    oracle_check_violation,
     parse_model,
     parse_spec,
     serialize_model,
@@ -103,6 +107,111 @@ def test_parse_spec_diagnostics():
         parse_spec('{"attacked_states": [], "budget": "one"}', model)
     with pytest.raises(InputError, match="syntax error"):
         parse_spec('{"attacked_states": [], "budget": 1, "mode": "secrecy"}', model)
+
+
+def _model_with(**change) -> str:
+    return json.dumps({**json.loads(model_text()), **change})
+
+
+def _spec_with(**change) -> str:
+    return json.dumps({"attacked_states": ["2"], "budget": 1, **change})
+
+
+def _opacity(secret) -> dict:
+    return {"opacity": {"secret_states": sorted(secret)}}
+
+
+PLANT = ten_state_plant()
+RESERVED_PLANT = Nfa(PLANT.states, PLANT.events | {"Y"}, PLANT.transitions, PLANT.initial)
+
+
+@pytest.mark.parametrize(
+    "category,parse,library",
+    [
+        pytest.param(
+            "unknown identifier",
+            lambda: parse_model(_model_with(initial=["1", "99"])),
+            lambda: Nfa(PLANT.states, PLANT.events, PLANT.transitions, ["1", "99"]),
+            id="initial-state",
+        ),
+        pytest.param(
+            "unknown identifier",
+            lambda: parse_model(_model_with(transitions=[["1", "a", "99"]])),
+            lambda: Nfa(PLANT.states, PLANT.events, [("1", "a", "99")], PLANT.initial),
+            id="transition-endpoint",
+        ),
+        pytest.param(
+            "unknown identifier",
+            lambda: parse_model(_model_with(transitions=[["1", "z", "2"]])),
+            lambda: Nfa(PLANT.states, PLANT.events, [("1", "z", "2")], PLANT.initial),
+            id="transition-label",
+        ),
+        pytest.param(
+            "unknown identifier",
+            lambda: parse_spec(_spec_with(attacked_states=["nope"]), PLANT),
+            lambda: AttackSpec(frozenset({"nope"}), 1).validate_for(PLANT),
+            id="attacked-state",
+        ),
+        pytest.param(
+            "unknown identifier",
+            lambda: parse_spec(_spec_with(attacked_states=["nope"]), PLANT),
+            lambda: oracle_check_violation(PLANT, AttackSpec(frozenset({"nope"}), 1)),
+            id="oracle-attacked-state",
+        ),
+        pytest.param(
+            "unknown identifier",
+            lambda: parse_spec(_spec_with(mode=_opacity({"99"})), PLANT),
+            lambda: build_attack_observer(PLANT, AttackSpec(frozenset({"2"}), 1, {"99"})),
+            id="secret-state",
+        ),
+        pytest.param(
+            "reserved label",
+            lambda: parse_model(_model_with(events=["a", "b", "c", "d", "Y"])),
+            lambda: build_attack_observer(RESERVED_PLANT, AttackSpec(frozenset({"2"}), 1)),
+            id="reserved-event",
+        ),
+        pytest.param(
+            "reserved label",
+            lambda: parse_model(_model_with(events=["a", "b", "c", "d", "Y"])),
+            lambda: oracle_check_enforced(RESERVED_PLANT, AttackSpec(frozenset({"2"}), 1)),
+            id="oracle-reserved-event",
+        ),
+        pytest.param(
+            "negative budget",
+            lambda: parse_spec(_spec_with(budget=-1), PLANT),
+            lambda: AttackSpec(frozenset({"2"}), -1),
+            id="negative-budget",
+        ),
+        pytest.param(
+            "syntax error",
+            lambda: parse_spec(_spec_with(budget=True), PLANT),
+            lambda: AttackSpec(frozenset({"2"}), True),
+            id="bool-budget",
+        ),
+        pytest.param(
+            "invalid secret set",
+            lambda: parse_spec(_spec_with(mode=_opacity(PLANT.states)), PLANT),
+            lambda: AttackSpec(frozenset({"2"}), 1, PLANT.states).validate_for(PLANT),
+            id="secret-covers-all",
+        ),
+        pytest.param(
+            "invalid secret set",
+            lambda: parse_spec(_spec_with(mode=_opacity(PLANT.states)), PLANT),
+            lambda: check_opacity_classic(PLANT, PLANT.states),
+            id="classic-secret-covers-all",
+        ),
+    ],
+)
+def test_each_rule_has_one_diagnostic_on_both_paths(category, parse, library):
+    """The parsers leave every rule on how a document's parts relate to the
+    library type that owns it, so both paths give the same message."""
+    with pytest.raises(InputError) as parsed:
+        parse()
+    with pytest.raises(ValueError) as built:
+        library()
+    assert not isinstance(built.value, InputError)
+    assert str(parsed.value).startswith(f"{category}: ")
+    assert str(built.value) == str(parsed.value)
 
 
 def test_spec_round_trip():

@@ -469,7 +469,8 @@ def test_seeded_plays_disclose_the_true_state(plant, ranked_2489, attack_2489):
         trace = simulate_play(plant, ranked_2489, RandomSeeded(seed), 50)
         assert trace.outcome == "violated"
         assert len(trace.rounds) <= bound
-        assert tuple(trace.final_estimate) == (trace.final_true_state,)
+        last = trace.rounds[-1]
+        assert tuple(last.estimate) == (last.true_state,)
 
 
 def test_adversarial_play_terminates_within_rank(plant, ranked_2489):
