@@ -188,13 +188,22 @@ def _emit(report: dict, args, graph=None, name: str = "") -> None:
     print(text)
 
 
-def _strategy_for(model: Nfa, attack: AttackSpec, args):
-    """Synthesized strategy for the instance, or None when the intruder
-    cannot enforce a violation."""
+def _stage(stage: str, model: Nfa, attack: AttackSpec, args):
+    """The graph of a pipeline stage (one of ``STAGES``) and its DOT name. The
+    strategy stage is the empty final verifier when the intruder cannot
+    enforce a violation."""
+    if stage == "model":
+        return model, "plant"
+    if stage == "observer":
+        return observer(model), "observer"
+    if stage == "aobs":
+        return build_attack_observer(model, attack), "attack_observer"
+    if stage == "verifier":
+        return check_violation(model, attack)[1], "verifier"
     enforced, fv = check_enforced(model, attack, args.strict_paper)
-    if not enforced:
-        return None, fv
-    return synthesize_strategy(fv, fv.parent, args.policy), fv
+    if stage == "final-verifier":
+        return fv, "final_verifier"
+    return (synthesize_strategy(fv, fv.parent, args.policy) if enforced else fv), "strategy"
 
 
 def main(argv=None) -> int:
@@ -214,19 +223,18 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     command = args.command
+    model, attack = _load_inputs(args)
+
     if command == "observer":
-        model, _ = _load_inputs(args)
-        obs = observer(model)
+        obs, name = _stage("observer", model, attack, args)
         report = {
             "command": command,
             "observer_states": len(obs.states),
             "observer_transitions": len(obs.transitions),
             "states": [str(q) for q in sorted(obs.states)],
         }
-        _emit(report, args, obs, "observer")
+        _emit(report, args, obs, name)
         return 0
-
-    model, attack = _load_inputs(args)
 
     if command == "check-classic":
         anonymous = check_anonymity_classic(model)
@@ -238,18 +246,19 @@ def _dispatch(args) -> int:
         return 1 if args.fail_on_violation and not holds else 0
 
     if command == "build-aobs":
-        aobs = build_attack_observer(model, attack)
+        aobs, name = _stage("aobs", model, attack, args)
         report = {
             "command": command,
             "states": len(aobs.ids),
             "transitions": aobs.n_transitions,
             "initial": aobs.names([aobs.initial_id])[aobs.initial_id],
         }
-        _emit(report, args, aobs, "attack_observer")
+        _emit(report, args, aobs, name)
         return 0
 
     if command == "check-violation":
-        verdict, verifier = check_violation(model, attack)
+        verifier, name = _stage("verifier", model, attack, args)
+        verdict = not verifier.is_empty
         witness = witness_labels(verifier, attack)
         report = {
             "command": command,
@@ -259,11 +268,12 @@ def _dispatch(args) -> int:
             "verifier_states": len(verifier.ids),
             "witness": witness,
         }
-        _emit(report, args, verifier, "verifier")
+        _emit(report, args, verifier, name)
         return 1 if args.fail_on_violation and verdict else 0
 
     if command == "check-enforced":
-        verdict, fv = check_enforced(model, attack, args.strict_paper)
+        fv, name = _stage("final-verifier", model, attack, args)
+        verdict = not fv.is_empty
         rank_initial = None
         if verdict:
             rank_initial = rank_ids(fv, attack).get(fv.initial_id, INFINITE_RANK)
@@ -274,16 +284,16 @@ def _dispatch(args) -> int:
             "final_verifier_states": len(fv.ids),
             **_rank_fields(rank_initial),
         }
-        _emit(report, args, fv, "final_verifier")
+        _emit(report, args, fv, name)
         return 1 if args.fail_on_violation and verdict else 0
 
     if command == "synthesize":
-        strategy, fv = _strategy_for(model, attack, args)
-        if strategy is None:
+        strategy, name = _stage("strategy", model, attack, args)
+        if not isinstance(strategy, MealyStrategy):
             report = {"command": command, "enforced": False, "forceable": None, "strategy_states": 0}
-            _emit(report, args)
+            _emit(report, args, strategy, name)
             return 0
-        validation = validate_strategy(strategy, fv.parent, attack)
+        validation = validate_strategy(strategy, strategy.graph.parent, attack)
         rank_initial = strategy.id_ranks.get(strategy.initial_id)
         report = {
             "command": command,
@@ -296,14 +306,14 @@ def _dispatch(args) -> int:
             **_rank_fields(rank_initial),
             "edges": strategy_edge_rows(strategy, strategy.names()),
         }
-        _emit(report, args, strategy, "strategy")
+        _emit(report, args, strategy, name)
         return 1 if args.fail_on_violation else 0
 
     if command == "simulate":
         if args.max_rounds < 1:  # whatever the verdict would be
             raise InputError("max_rounds must be at least 1")
-        strategy, _ = _strategy_for(model, attack, args)
-        if strategy is None:
+        strategy, _ = _stage("strategy", model, attack, args)
+        if not isinstance(strategy, MealyStrategy):
             _emit({"command": command, "enforced": False, "outcome": None}, args)
             return 0
         policy = RandomSeeded(args.seed) if args.seed is not None else Adversarial()
@@ -339,34 +349,16 @@ def _dispatch(args) -> int:
         return 1 if args.fail_on_violation and violation else 0
 
     if command == "export-dot":
-        return _export_stage(model, attack, args)
+        graph, name = _stage(args.stage, model, attack, args)
+        dot = export_dot(graph, name)
+        if args.out:
+            _write(args.out, dot)
+            print(json.dumps({"command": command, "stage": args.stage, "written": args.out}))
+        else:
+            print(dot, end="")
+        return 0
 
     raise InputError(f"unknown command {command!r}")
-
-
-def _export_stage(model: Nfa, attack: AttackSpec, args) -> int:
-    stage = args.stage
-    if stage == "model":
-        dot = export_dot(model, "plant")
-    elif stage == "observer":
-        dot = export_dot(observer(model), "observer")
-    elif stage == "aobs":
-        dot = export_dot(build_attack_observer(model, attack), "attack_observer")
-    elif stage == "verifier":
-        _, verifier = check_violation(model, attack)
-        dot = export_dot(verifier, "verifier")
-    elif stage == "final-verifier":
-        _, fv = check_enforced(model, attack, args.strict_paper)
-        dot = export_dot(fv, "final_verifier")
-    else:
-        strategy, fv = _strategy_for(model, attack, args)
-        dot = export_dot(strategy if strategy is not None else fv, "strategy")
-    if args.out:
-        _write(args.out, dot)
-        print(json.dumps({"command": "export-dot", "stage": stage, "written": args.out}))
-    else:
-        print(dot, end="")
-    return 0
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
 """Deciding whether the intruder can ever pin the system down: the violating
-predicate on estimates, the backward closure of states from which a violation
-stays reachable, and the verifier built from it."""
+predicate on estimates, the backward closure of the attack-observer nodes from
+which a violation stays reachable, and the verifier built from it. Both stages
+work on node ids and make no ``AObsState``."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
-from .aobs import AObsState, AttackObserver, attractor, build_attack_observer
+from .aobs import AttackObserver, attractor, build_attack_observer
 from .attackmodel import PHASE_AWAIT, PHASE_SYSTEM, AttackSpec
 from .automata import Nfa, StateEstimate
 
@@ -49,32 +50,20 @@ def violating_ids(graph: AttackObserver, attack: AttackSpec) -> list:
     ]
 
 
-def violating_closure(aobs: AttackObserver, attack: AttackSpec) -> dict:
-    """The intruder's attractor to the violating system-move nodes, as
-    ``{id: rank}``: a result-wait node needs every defined result inside,
+def intermediate_violating_fixpoint(aobs: AttackObserver, attack: AttackSpec) -> dict:
+    """Least set of nodes from which the intruder can still steer the play to
+    a violating estimate: its attractor to the violating system-move nodes,
+    as ``{id: rank}``. A result-wait node needs every defined result inside,
     any other node one transition."""
     need = [d if p == PHASE_AWAIT else k for p, d, k in zip(aobs.phase, aobs.degree, aobs.kept)]
     return attractor(aobs, violating_ids(aobs, attack), need)
 
 
-def intermediate_violating_fixpoint(aobs: AttackObserver, attack: AttackSpec) -> frozenset:
-    """Least set of attack-observer states from which the intruder can still
-    steer the play to a violating estimate."""
-    return frozenset(map(aobs.state_of, violating_closure(aobs, attack)))
-
-
-def build_verifier(aobs: AttackObserver, violating_reachable: Iterable[AObsState]) -> AttackObserver:
-    """Restrict the attack observer to the violating-reachable states."""
-    keep = {aobs.id_of(state) for state in violating_reachable}
-    keep.discard(None)
-    return _verifier(aobs, keep)
-
-
-def _verifier(aobs: AttackObserver, closure) -> AttackObserver:
-    """``aobs`` restricted to the ids in ``closure``, or ``aobs`` itself when
-    the closure holds every node: the builder numbers nodes breadth first, so
-    the restricting walk would meet them all in id order and keep every
-    transition."""
+def build_verifier(aobs: AttackObserver, closure) -> AttackObserver:
+    """``aobs`` restricted to the node ids in ``closure``, or ``aobs`` itself
+    when the closure holds every node: the builder numbers nodes breadth
+    first, so the restricting walk would meet them all in id order and keep
+    every transition."""
     return aobs if len(closure) == len(aobs.ids) else aobs.restrict_ids(closure)
 
 
@@ -103,8 +92,9 @@ def witness_labels(verifier: AttackObserver, attack: AttackSpec) -> list | None:
 
 def check_violation(g: Nfa, attack: AttackSpec) -> tuple[bool, AttackObserver]:
     """Full pipeline: build the attack observer, close backwards from the
-    violating estimates, and restrict. The verdict is the nonemptiness of the
+    violating estimates (``intermediate_violating_fixpoint``), and restrict to
+    the closure (``build_verifier``). The verdict is the nonemptiness of the
     resulting verifier."""
     aobs = build_attack_observer(g, attack)
-    verifier = _verifier(aobs, violating_closure(aobs, attack))
+    verifier = build_verifier(aobs, intermediate_violating_fixpoint(aobs, attack))
     return (not verifier.is_empty, verifier)

@@ -103,7 +103,8 @@ def test_criterion_4_closure_fixture(plant):
             aob("A", "1", "4"), aob("A", "1", "5"),
             aob("A", "0", "1,10"),
         }
-        assert intermediate_violating_fixpoint(aobs, ATTACK_24) == frozenset(expected)
+        closure = intermediate_violating_fixpoint(aobs, ATTACK_24)
+        assert closure.keys() == {aobs.id_of(state) for state in expected}
 
 
 def test_criterion_5_verdicts(plant):

@@ -399,6 +399,25 @@ def test_committed_samples_end_to_end(capsys, attack_file, violated, enforced):
             assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("attack_file", sorted(STRATEGY_OUTCOMES))
+@pytest.mark.parametrize(
+    "command,stage",
+    [
+        ("build-aobs", "aobs"),
+        ("check-violation", "verifier"),
+        ("check-enforced", "final-verifier"),
+        ("synthesize", "strategy"),
+    ],
+)
+def test_dot_out_file_is_the_exported_stage(capsys, tmp_path, attack_file, command, stage):
+    """A command's ``--format dot --out`` file is its stage's ``export-dot``
+    text, whether or not the intruder can enforce a violation."""
+    inputs = ["--model", str(SAMPLES / "model.json"), "--spec", str(SAMPLES / attack_file)]
+    out_path = tmp_path / "stage.dot"
+    run(capsys, command, *inputs, "--format", "dot", "--out", str(out_path))
+    assert out_path.read_bytes() == run(capsys, "export-dot", *inputs, "--stage", stage)[1].encode()
+
+
 @pytest.mark.parametrize("command", ["check-enforced", "synthesize"])
 def test_forceable_with_finite_rank(capsys, command):
     model, spec = str(SAMPLES / "model.json"), str(SAMPLES / "attack-wide.json")

@@ -14,15 +14,17 @@ from stateattack import (
     AttackObserver,
     AttackSpec,
     Nfa,
+    build_attack_observer,
     build_verifier,
     check_enforced,
     check_violation,
+    compute_ranks,
     final_verifier,
+    intermediate_violating_fixpoint,
     rank_ids,
     witness_labels,
 )
-from stateattack.aobs import attractor
-from stateattack.violation import intermediate_violating_fixpoint, violating_closure
+from stateattack.aobs import AObsState, attractor
 
 DEADLOCKED = Nfa(["x"], ["a"], [], ["x"])  # one state with no transition
 
@@ -236,11 +238,32 @@ def test_full_cover_shortcuts_equal_the_restrictions(instances, strict_paper):
     for plant, attack in instances:
         _, verifier = check_violation(plant, attack)
         aobs = verifier.parent
-        restricted = aobs.restrict_ids(violating_closure(aobs, attack))
+        closure = intermediate_violating_fixpoint(aobs, attack)
+        restricted = aobs.restrict_ids(closure)
         assert_same_restriction(verifier, restricted, attack)
-        traced = build_verifier(aobs, intermediate_violating_fixpoint(aobs, attack))
-        assert (traced is aobs) == (verifier is aobs)
+        composed = build_verifier(aobs, closure)
+        assert_same_restriction(composed, verifier, attack)
+        assert (composed is aobs) == (verifier is aobs)
         fv = final_verifier(verifier, aobs, strict_paper)
         assert_same_restriction(fv, pruned_by_attractor(restricted, strict_paper), attack)
         shortcuts += verifier is aobs
     assert (shortcuts, len(instances) - shortcuts) == (112, 108)
+
+
+def test_stages_make_no_state_objects(instances, monkeypatch):
+    """The closure, the verifier, the final verifier in both pruning modes and
+    the ranks' mapping work on node ids and make no ``AObsState``."""
+    made = []
+
+    def counting(self, *args, _init=AObsState.__init__, **kwargs):
+        made.append(self)
+        _init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AObsState, "__init__", counting)
+    for plant, attack in instances:
+        aobs = build_attack_observer(plant, attack)
+        verifier = build_verifier(aobs, intermediate_violating_fixpoint(aobs, attack))
+        for strict_paper in (False, True):
+            fv = final_verifier(verifier, aobs, strict_paper)
+            assert len(compute_ranks(fv, attack)) == len(fv.ids)
+    assert len(made) == 0

@@ -42,13 +42,14 @@ def test_violation_predicate_opacity():
 
 
 def test_fixpoint_fixture_sixteen_states(aobs_24, attack_24):
-    assert intermediate_violating_fixpoint(aobs_24, attack_24) == frozenset(EXPECTED_CLOSURE_24)
+    closure = intermediate_violating_fixpoint(aobs_24, attack_24)
+    assert closure.keys() == {aobs_24.id_of(state) for state in EXPECTED_CLOSURE_24}
 
 
 def test_fixpoint_empty_without_violating_seed(plant):
     attack = AttackSpec(frozenset(), 2)  # uninformative attacks, anonymous plant
     aobs = build_attack_observer(plant, attack)
-    assert intermediate_violating_fixpoint(aobs, attack) == frozenset()
+    assert intermediate_violating_fixpoint(aobs, attack) == {}
 
 
 class GameClosureOracle:
@@ -126,18 +127,18 @@ def test_fixpoint_matches_game_closure_oracle(instances):
         aobs = build_attack_observer(plant, attack)
         closure = intermediate_violating_fixpoint(aobs, attack)
         oracle = GameClosureOracle(plant, attack)
-        for state in aobs.states:
-            assert (state in closure) == oracle.expects(state), (
+        for i in aobs.ids:
+            assert (i in closure) == oracle.expects(aobs.state_of(i)), (
                 plant.transitions,
                 attack,
-                state,
+                aobs.state_of(i),
             )
 
 
 def sweep_schedule_closure(aobs, attack):
-    """The canonical pass order: seed the violating system-move states, then
-    alternately absorb result-wait, decision, and system-move states until no
-    new system-move state appears."""
+    """The canonical pass order: seed the violating system-move nodes, then
+    alternately absorb result-wait, decision, and system-move nodes until no
+    new system-move node appears."""
     phase = aobs.phase
     type1 = {
         i
@@ -169,17 +170,17 @@ def sweep_schedule_closure(aobs, attack):
             and any(j in type3 for _e, j in aobs.kept_targets(i))
         }
         if not new1:
-            return frozenset(map(aobs.state_of, type1 | type2 | type3))
+            return type1 | type2 | type3
         type1 |= new1
 
 
 def test_fixpoint_is_sweep_order_insensitive(aobs_24, attack_24, instances):
-    assert intermediate_violating_fixpoint(aobs_24, attack_24) == sweep_schedule_closure(
+    assert intermediate_violating_fixpoint(aobs_24, attack_24).keys() == sweep_schedule_closure(
         aobs_24, attack_24
     )
     for plant, attack in instances[:40]:
         aobs = build_attack_observer(plant, attack)
-        assert intermediate_violating_fixpoint(aobs, attack) == sweep_schedule_closure(
+        assert intermediate_violating_fixpoint(aobs, attack).keys() == sweep_schedule_closure(
             aobs, attack
         )
 
@@ -195,9 +196,9 @@ def test_verifier_fixture_sixteen_states(aobs_24, attack_24):
 
 
 def test_verifier_empty_when_initial_not_kept(aobs_24):
-    verifier = build_verifier(aobs_24, {aob("S", "1", "2")})
+    verifier = build_verifier(aobs_24, [aobs_24.id_of(aob("S", "1", "2"))])
     assert verifier.is_empty
-    assert verifier.states == frozenset()
+    assert list(verifier.ids) == []
 
 
 def test_verifier_fixture_thirty_states(plant, attack_2489, aobs_2489):
@@ -218,10 +219,11 @@ def test_verifier_states_all_in_closure_and_transitions_in_parent(instances):
     for plant, attack in instances[:40]:
         _, verifier = check_violation(plant, attack)
         closure = intermediate_violating_fixpoint(verifier.parent, attack)
-        assert verifier.states <= closure
+        assert set(verifier.ids) <= closure.keys()
         full = verifier.parent
-        for (src, label), dst in verifier.transitions.items():
-            assert full.target(full.id_of(src), label) == full.id_of(dst)
+        for i in verifier.ids:
+            for label, j in verifier.kept_targets(i):
+                assert full.target(i, label) == j
 
 
 def test_budget_zero_collapses_to_classic_checks(instances):
