@@ -12,10 +12,12 @@ nodes it has met through one ``{mask: id}`` index per phase and counter
 value, made on demand, and only for decision and plain system nodes: the
 other nodes have a single parent, the decision node they follow.
 
-Nodes are integer ids in worklist order, which is breadth first. The
-violation closure, the holdable region, the ranks and the witness are
-computed on the ids, the per-node (phase, count, tag, mask) keys and the
-successor lists, and restrictions are kept-id views over the same lists. A
+Nodes are integer ids in worklist order, which is breadth first. The graph
+is held in flat lists with no per-node container: four node columns (phase,
+count, tag, mask), the successor ids of every node in one list with an
+offset list (compressed sparse rows), and the predecessor index in the same
+form. The violation closure, the holdable region, the ranks and the witness
+are computed on these lists, and restrictions are kept-id views over them. A
 verifier whose closure holds every node is the full graph itself: a
 restriction to every node would walk them in id order and keep them all.
 ``AObsState`` objects are the state-level view of a node: made when a
@@ -26,6 +28,7 @@ from __future__ import annotations
 import copy
 import functools
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable
 
 from .attackmodel import (
@@ -66,12 +69,13 @@ def _state_text(phase: str, count: int, tag: str, members: tuple) -> str:
 
 class AttackObserver:
     """Deterministic graph of (phase, counter, estimate) triples, held as
-    integer node ids.
+    integer node ids in flat lists.
 
     Node ``i`` has the phase ``phase[i]``, the counter ``count[i]`` with tag
     ``tag[i]``, and the estimate ``mask[i]``, whose bit b is the plant state
-    ``order[b]``. ``labels[i]`` and ``targets[i]`` list its outgoing
-    transitions as parallel tuples of labels and target ids. The verdict
+    ``order[b]``. Its outgoing transitions lead to the ids
+    ``succ[start[i]:start[i + 1]]``, labelled by the tuple ``labels[i]`` in
+    the same order; label tuples are shared between nodes. The verdict
     algorithms run on these lists. ``AObsState`` objects, with their
     ``GameCounter`` and ``StateEstimate``, are made only when a caller asks
     for the state-level view (``states``, ``transitions``, ``initial``,
@@ -90,29 +94,36 @@ class AttackObserver:
         self,
         attack: AttackSpec,
         order: list,
-        nodes: list,
+        phase: list,
+        count: list,
+        tag: list,
+        mask: list,
         labels: list,
-        targets: list,
+        succ: list,
+        start: list,
         initial: int = 0,
     ):
-        """The full graph of the (phase, count, tag, mask) ``nodes``."""
+        """The full graph of the node columns ``phase``, ``count``, ``tag``
+        and ``mask``, with node ``i``'s transitions labelled ``labels[i]``
+        and leading to ``succ[start[i]:start[i + 1]]``."""
         self.attack = attack
         self.order = order
         self._bit = {state: b for b, state in enumerate(order)}  # plant state -> its mask bit
-        self.phase, self.count, self.tag, self.mask = zip(*nodes)
+        self.phase, self.count, self.tag, self.mask = phase, count, tag, mask
         self.labels = labels
-        self.targets = targets
+        self.succ = succ
+        self.start = start
         self.initial_id: int | None = initial
-        self.ids = list(range(len(nodes)))  # a list: iterating it makes no int objects
-        self.kept = bytearray(b"\x01") * len(nodes)
-        self.degree = list(map(len, targets))  # id -> its transitions kept here
+        self.ids = list(range(len(phase)))  # a list: iterating it makes no int objects
+        self.kept = bytearray(b"\x01") * len(phase)
+        self.degree = list(map(len, labels))  # id -> its transitions kept here
         self._parent = None  # the full graph holds no cycle to itself
         # Shared with every restriction, so a node has one object everywhere.
-        self._objects: list = [None] * len(nodes)  # id -> AObsState, made on demand
+        self._objects: list = [None] * len(phase)  # id -> AObsState, made on demand
         self._estimates: dict = {}  # mask -> its one StateEstimate
         # Built on first use and kept by the full graph (see ``parent``).
         self._index: dict | None = None  # (phase, count, tag, mask) -> id
-        self._preds: list | None = None
+        self._preds: tuple | None = None
 
     @property
     def parent(self) -> "AttackObserver":
@@ -123,17 +134,26 @@ class AttackObserver:
         return self.initial_id is None
 
     @property
-    def preds(self) -> list:
-        """``preds[j]``: the ids with a transition into ``j``, once per
-        transition, in the order of the sources. Built on first use, and only
-        for the full graph, the one searched backwards."""
+    def preds(self) -> tuple:
+        """``(pstart, psrc)``: the ids with a transition into ``j`` are
+        ``psrc[pstart[j]:pstart[j + 1]]``, once per transition, in the order
+        of the sources. Built on first use by one counting sort, and only for
+        the full graph, the one searched backwards."""
         base = self.parent
         if base._preds is None:
-            preds: list = [[] for _ in base.ids]
-            for i, targets in enumerate(base.targets):
-                for j in targets:
-                    preds[j].append(i)
-            base._preds = preds
+            succ, start = base.succ, base.start
+            counts = [0] * len(base.ids)  # j -> the transitions into it
+            for j in succ:
+                counts[j] += 1
+            pstart = list(accumulate(counts, initial=0))
+            fill = pstart.copy()  # j -> the next free slot of its sources
+            psrc = [0] * len(succ)
+            for i in base.ids:
+                for j in succ[start[i]:start[i + 1]]:
+                    k = fill[j]
+                    psrc[k] = i
+                    fill[j] = k + 1
+            base._preds = pstart, psrc
         return base._preds
 
     def mask_of(self, states: Iterable[str]) -> int:
@@ -143,8 +163,9 @@ class AttackObserver:
 
     def kept_targets(self, i: int) -> list:
         """(label, target id) pairs of the transitions of ``i`` kept here."""
-        kept = self.kept
-        return [(label, j) for label, j in zip(self.labels[i], self.targets[i]) if kept[j]]
+        kept, start = self.kept, self.start
+        targets = self.succ[start[i]:start[i + 1]]
+        return [(label, j) for label, j in zip(self.labels[i], targets) if kept[j]]
 
     @property
     def n_transitions(self) -> int:
@@ -155,7 +176,7 @@ class AttackObserver:
         """The id ``label`` leads to from ``i`` here, or None."""
         labels = self.labels[i]
         if label in labels:
-            j = self.targets[i][labels.index(label)]
+            j = self.succ[self.start[i] + labels.index(label)]
             if self.kept[j]:
                 return j
         return None
@@ -167,15 +188,15 @@ class AttackObserver:
         kept = self.kept
         for i in keep:
             mark[i] = kept[i]
-        targets = self.targets
+        succ, start = self.succ, self.start
         degree = [0] * len(mark)
-        start = self.initial_id
-        reached = [start] if start is not None and mark[start] else []
+        root = self.initial_id
+        reached = [root] if root is not None and mark[root] else []
         if reached:
-            mark[start] = 2
+            mark[root] = 2
         for i in reached:  # grows while it is walked: breadth first
             n = 0
-            for j in targets[i]:
+            for j in succ[start[i]:start[i + 1]]:
                 seen = mark[j]
                 if seen:  # inside: every inside target of a reached id is reached
                     n += 1
@@ -188,7 +209,7 @@ class AttackObserver:
         for name in ("states", "transitions"):  # the full graph's cached views
             view.__dict__.pop(name, None)
         view._parent, view.ids = base, reached
-        view.initial_id = start if reached else None
+        view.initial_id = root if reached else None
         view.kept = mark.translate(_REACHED)
         view.degree = degree
         return view
@@ -292,6 +313,8 @@ def build_attack_observer(g: Nfa, attack: AttackSpec) -> AttackObserver:
     index per phase and counter value, made when the worklist first reaches
     that value, so nothing is sized by the budget. A system move depends on
     the mask alone: its labels and nonempty images are computed once per mask.
+    Each node goes straight into the four node columns and its targets into
+    ``succ``; the offsets ``start`` follow from the label tuples at the end.
     """
     attack.validate_for(g)
     order = sorted(g.states, key=_natural_key)
@@ -307,27 +330,34 @@ def build_attack_observer(g: Nfa, attack: AttackSpec) -> AttackObserver:
     label_tuples: dict = {}
 
     initial = sum(1 << index[state] for state in g.initial)
-    nodes: list = [(PHASE_DECIDE, 0, "", initial)]
+    phase, count, tag, mask = [PHASE_DECIDE], [0], [""], [initial]  # the node columns
+    labels: list = []
+    succ: list = []
     decisions: dict = {0: {initial: 0}}  # count -> {mask: id} of the (A,count) nodes
     plain: dict = {}  # count -> {mask: id} of the (S,count) nodes
-    labels: list = []
-    targets: list = []
-    for phase, count, _tag, mask in nodes:  # the worklist: nodes grows while it is walked
-        if phase == PHASE_DECIDE:
-            j = len(nodes)
-            nodes.append((PHASE_SYSTEM, count, "N", mask))
-            if count < budget:
-                nodes.append((PHASE_AWAIT, count, "Y", mask))
+    # The worklist: the columns grow while they are walked.
+    for p, k, m in zip(phase, count, mask):
+        if p == PHASE_DECIDE:
+            j = len(phase)
+            phase.append(PHASE_SYSTEM)
+            count.append(k)
+            tag.append("N")
+            mask.append(m)
+            succ.append(j)
+            if k < budget:
+                phase.append(PHASE_AWAIT)
+                count.append(k)
+                tag.append("Y")
+                mask.append(m)
+                succ.append(j + 1)
                 labels.append(_NO_AND_YES)
-                targets.append((j, j + 1))
             else:
                 labels.append(_NO_ONLY)
-                targets.append((j,))
             continue
         # The children's phase, counter and indexes, and their nonempty masks.
-        if phase == PHASE_AWAIT:
-            phase, layers, count = PHASE_SYSTEM, plain, count + 1
-            inside, outside = mask & attacked, mask & ~attacked
+        if p == PHASE_AWAIT:
+            p, layers, k = PHASE_SYSTEM, plain, k + 1
+            inside, outside = m & attacked, m & ~attacked
             if not outside:
                 out_labels, parts = _IN_ONLY, (inside,)
             elif not inside:
@@ -335,30 +365,32 @@ def build_attack_observer(g: Nfa, attack: AttackSpec) -> AttackObserver:
             else:
                 out_labels, parts = _IN_AND_OUT, (inside, outside)
         else:
-            phase, layers = PHASE_DECIDE, decisions
-            moves = system_moves.get(mask)
+            p, layers = PHASE_DECIDE, decisions
+            moves = system_moves.get(m)
             if moves is None:
                 image = [0] * len(events)
-                for b in _bits(mask):
+                for b in _bits(m):
                     for e, table in enumerate(tables):
                         image[e] |= table[b]
                 key = tuple(event for event, part in zip(events, image) if part)
                 moves = (label_tuples.setdefault(key, key), [part for part in image if part])
-                system_moves[mask] = moves
+                system_moves[m] = moves
             out_labels, parts = moves
-        layer = layers.get(count)
+        layer = layers.get(k)
         if layer is None:
-            layer = layers[count] = {}
-        out = []
+            layer = layers[k] = {}
         for part in parts:
             j = layer.get(part)
             if j is None:
-                j = layer[part] = len(nodes)
-                nodes.append((phase, count, "", part))
-            out.append(j)
+                j = layer[part] = len(phase)
+                phase.append(p)
+                count.append(k)
+                tag.append("")
+                mask.append(part)
+            succ.append(j)
         labels.append(out_labels)
-        targets.append(tuple(out))
-    return AttackObserver(attack, order, nodes, labels, targets)
+    start = list(accumulate(map(len, labels), initial=0))  # labels[i] is as long as i's targets
+    return AttackObserver(attack, order, phase, count, tag, mask, labels, succ, start)
 
 
 def attractor(graph: AttackObserver, targets: Iterable[int], need: list) -> dict:
@@ -375,11 +407,11 @@ def attractor(graph: AttackObserver, targets: Iterable[int], need: list) -> dict
     missing = list(need)
     for i in ranks:
         missing[i] = 0
-    preds = graph.preds
+    pstart, psrc = graph.preds
     queue = list(ranks)
     for j in queue:  # grows while it is walked: breadth first, so by rank
         rank = ranks[j] + 1
-        for i in preds[j]:
+        for i in psrc[pstart[j]:pstart[j + 1]]:
             left = missing[i]
             if left:
                 missing[i] = left - 1

@@ -8,6 +8,7 @@ violating predicate on estimates."""
 
 import random
 from collections import deque
+from itertools import accumulate
 
 from stateattack import AttackSpec, Nfa
 from stateattack.aobs import AObsState, AttackObserver, _bits
@@ -147,7 +148,7 @@ def composed_attack_observer(g: Nfa, attack: AttackSpec) -> AttackObserver:
         outgoing[ids[flatten(src)]].append((label, ids[flatten(dst)]))
     labels = [tuple(label for label, _ in edges) for edges in outgoing]
     targets = [tuple(dst for _, dst in edges) for edges in outgoing]
-    return AttackObserver(attack, order, nodes, labels, targets, ids[flatten(composed.initial)])
+    return flat_attack_observer(attack, order, nodes, labels, targets, ids[flatten(composed.initial)])
 
 
 def worklist_attack_observer(g: Nfa, attack: AttackSpec) -> AttackObserver:
@@ -201,7 +202,17 @@ def worklist_attack_observer(g: Nfa, attack: AttackSpec) -> AttackObserver:
                 out_targets.append(j)
         labels.append(tuple(out_labels))
         targets.append(tuple(out_targets))
-    return AttackObserver(attack, order, nodes, labels, targets)
+    return flat_attack_observer(attack, order, nodes, labels, targets)
+
+
+def flat_attack_observer(attack, order, nodes, labels, targets, initial=0) -> AttackObserver:
+    """The ``AttackObserver`` of per-node (phase, count, tag, mask) keys and
+    per-node target tuples: the keys split into the four node columns, the
+    targets laid end to end in ``succ`` with their offsets in ``start``."""
+    phase, count, tag, mask = map(list, zip(*nodes))
+    succ = [j for out in targets for j in out]
+    start = [0, *accumulate(map(len, targets))]
+    return AttackObserver(attack, order, phase, count, tag, mask, labels, succ, start, initial)
 
 
 def _full_decision(fv, ranks, policy, reference, turn) -> str:

@@ -1,15 +1,19 @@
 """The attack-observer game graph: the worklist builder against the paper's
 composed construction and the builder with one index over whole node keys,
-the builder's memory at huge budgets, fixture sizes, transition chains,
-phases, and the estimate-filtering semantics cross-checked against the
-direct trace evaluation."""
+on fixed and on drawn plants, the builder's memory at huge budgets, the
+objects a verdict leaves for the cyclic collector, fixture sizes,
+transition chains, phases, and the estimate-filtering semantics
+cross-checked against the direct trace evaluation."""
 
+import gc
 import random
 import tracemalloc
 from collections import deque
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from helpers import (
     ATTACK_24,
@@ -37,6 +41,8 @@ from stateattack import (
     check_violation,
     compute_ranks,
     filtered_estimate,
+    oracle_check_enforced,
+    oracle_check_violation,
     parse_model,
     parse_spec,
     rank_ids,
@@ -46,7 +52,7 @@ from stateattack import (
 from stateattack.oracle import AttackRound, AttackTrace
 
 SAMPLES = Path(__file__).parent.parent / "samples"
-COLUMNS = ("phase", "count", "tag", "mask", "labels", "targets", "degree")
+COLUMNS = ("phase", "count", "tag", "mask", "labels", "succ", "start", "degree")
 
 
 def assert_matches_reference(plant, attack):
@@ -157,6 +163,65 @@ def test_builder_memory_does_not_grow_with_the_budget():
         assert getattr(aobs, column) == getattr(small, column), column
 
 
+@hs.composite
+def plants_with_attacks(draw):
+    """Plants of 6 to 8 states and 1 to 3 events, with an attacked set, a
+    budget of 0 to 3 and, in opacity mode, a secret set."""
+    n = draw(hs.integers(6, 8))
+    states = [str(i) for i in range(1, n + 1)]
+    events = ["a", "b", "c"][: draw(hs.integers(1, 3))]
+    edge = hs.tuples(hs.sampled_from(states), hs.sampled_from(events), hs.sampled_from(states))
+    transitions = draw(hs.sets(edge, min_size=n, max_size=2 * n + 3))
+    initial = draw(hs.lists(hs.sampled_from(states), min_size=1, max_size=3, unique=True))
+    attacked = draw(hs.frozensets(hs.sampled_from(states)))
+    budget = draw(hs.integers(0, 3))
+    secret = draw(hs.none() | hs.frozensets(hs.sampled_from(states), max_size=n - 1))
+    return Nfa(states, events, transitions, initial), AttackSpec(attacked, budget, secret)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(plants_with_attacks())
+def test_builder_and_verdicts_match_the_references_on_larger_plants(instance):
+    """The builder equals the single-index worklist build id for id, and
+    both verdicts equal the brute-force oracles."""
+    plant, attack = instance
+    built = build_attack_observer(plant, attack)
+    worklist = worklist_attack_observer(plant, attack)
+    for column in COLUMNS:
+        assert list(getattr(built, column)) == list(getattr(worklist, column)), column
+    assert check_violation(plant, attack)[0] == oracle_check_violation(plant, attack)
+    assert check_enforced(plant, attack)[0] == oracle_check_enforced(plant, attack)
+
+
+def exponential_observer_plant(n: int) -> Nfa:
+    """0 loops on a and b and moves to 1 on a, each i in 1..n-2 moves to
+    i+1 on a and b, and n-1 moves to 0 on a: the observer reaches almost
+    every subset of the states."""
+    states = [str(i) for i in range(n)]
+    transitions = [("0", "a", "0"), ("0", "b", "0"), ("0", "a", "1"), (str(n - 1), "a", "0")]
+    for i in range(1, n - 1):
+        transitions += [(str(i), "a", str(i + 1)), (str(i), "b", str(i + 1))]
+    return Nfa(states, ["a", "b"], transitions, ["0"])
+
+
+def test_verdicts_keep_no_per_node_objects():
+    """The graph is held in flat lists: a verdict and its ranks on 18,464
+    nodes leave a few dozen objects for the cyclic collector to track, not
+    one or two per node."""
+    plant, attack = exponential_observer_plant(12), AttackSpec(frozenset({"6"}), 2)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        enforced, fv = check_enforced(plant, attack)
+        ranks = rank_ids(fv, attack)
+        added = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert enforced and len(fv.parent.ids) == 18_464 and ranks
+    assert added < 200
+
+
 def test_attack_observer_fixture_34_states(aobs_24):
     assert len(aobs_24.states) == 34
     assert aobs_24.initial == aob("A", "0", "1,10")
@@ -212,7 +277,8 @@ def test_verdicts_make_no_state_objects_until_asked(plant, attack_2489, monkeypa
     assert made.count("AObsState") == 1
     assert len(fv.states) == 27 and made.count("AObsState") == 27  # once per node
     assert fv.initial is initial is fv.parent.initial
-    assert fv.labels is fv.parent.labels and fv.targets is fv.parent.targets
+    full = fv.parent
+    assert fv.labels is full.labels and fv.succ is full.succ and fv.start is full.start
 
 
 def test_lookups_make_no_state_objects(plant, attack_2489):
@@ -293,16 +359,20 @@ def test_fixpoints_list_no_kept_transitions(instances, monkeypatch):
 
 
 def test_preds_invert_the_targets(plant, aobs_24, attack_24):
-    """``preds`` lists each source once per transition into a target, in
-    source order, and a view reads the full graph's lists."""
+    """The ``psrc`` slice of a target lists each source once per transition
+    into it, in source order, and a view reads the full graph's index."""
     verifier = check_violation(plant, attack_24)[1]
     for graph in (aobs_24, verifier):
         full = graph.parent
         expected: dict = {j: [] for j in full.ids}
         for (src, _label), dst in full.transitions.items():
             expected[full.id_of(dst)].append(full.id_of(src))
-        assert graph.preds == [expected[j] for j in full.ids]
-    assert any(len(sources) > len(set(sources)) for sources in aobs_24.preds)
+        assert graph.preds is full.preds
+        pstart, psrc = graph.preds
+        assert len(pstart) == len(full.ids) + 1 and len(psrc) == len(full.succ)
+        assert [psrc[pstart[j]:pstart[j + 1]] for j in full.ids] == [expected[j] for j in full.ids]
+    pstart, psrc = aobs_24.preds
+    assert any(len(set(psrc[pstart[j]:pstart[j + 1]])) < pstart[j + 1] - pstart[j] for j in aobs_24.ids)
 
 
 def test_enabled_fixture(aobs_24):
