@@ -1,8 +1,10 @@
 """Command-line front end: every subcommand is a thin composition of library
 calls that prints one deterministic JSON report to stdout.
 
-A subcommand takes only the flags it reads: ``--format`` where it has a DOT
-artifact to write, ``--fail-on-violation`` where it checks a property.
+``COMMANDS`` declares every subcommand once, with its help and the flags it
+reads, and ``FLAGS`` defines every flag once. A subcommand takes only the
+flags it reads: ``--format`` where it has a DOT artifact to write,
+``--fail-on-violation`` where it checks a property.
 
 Exit codes: 0 when the analysis ran (whatever the verdict), 1 only when
 --fail-on-violation is set and the checked property is violated/enforced,
@@ -50,25 +52,60 @@ from .violation import check_violation, witness_labels
 
 STAGES = ("model", "observer", "aobs", "verifier", "final-verifier", "strategy")
 
+# Every flag, once: its option string and the keyword arguments of add_argument.
+FLAGS = {
+    "--model": {"required": True, "help": "path to the plant model document"},
+    "--spec": {"help": "path to the attack description document"},
+    "--mode": {"choices": ("anonymity", "opacity"), "default": "anonymity"},
+    "--secret": {"help": "comma-separated secret states (opacity mode)"},
+    "--attacked": {"help": "comma-separated attacked states"},
+    "--budget": {"type": int, "help": "maximum number of state attacks"},
+    "--out": {"help": "write the produced artifact to this path"},
+    "--format": {"choices": ("json", "dot"), "default": "json"},
+    "--fail-on-violation": {"action": "store_true"},
+    "--strict-paper": {"action": "store_true", "help": "literal pruning rule for result branches"},
+    "--policy": {"choices": (RANKED, FIRST_VALID), "default": RANKED},
+    "--seed": {"type": int, "help": "seeded random system; omit for the adversarial system"},
+    "--max-rounds": {"type": int, "default": 1000},
+    "--horizon": {"type": int, "help": "event bound of the violation search (default none)"},
+    "--stage": {"choices": STAGES, "default": "model"},
+}
 
-def _add_common(parser: argparse.ArgumentParser, needs_spec: bool, dot=False, fails=False) -> None:
-    parser.add_argument("--model", required=True, help="path to the plant model document")
-    if needs_spec:
-        _add_spec(parser)
-        parser.add_argument("--attacked", help="comma-separated attacked states")
-        parser.add_argument("--budget", type=int, help="maximum number of state attacks")
-    parser.add_argument("--out", help="write the produced artifact to this path")
-    if dot:
-        parser.add_argument("--format", choices=("json", "dot"), default="json")
-    if fails:
-        parser.add_argument("--fail-on-violation", action="store_true")
+# The plant, the attack and --out: all but observer and check-classic take these.
+_INPUTS = ("--model", "--spec", "--mode", "--secret", "--attacked", "--budget", "--out")
 
-
-def _add_spec(parser: argparse.ArgumentParser) -> None:
-    """--spec, or the inline mode and secret set: all that check-classic reads."""
-    parser.add_argument("--spec", help="path to the attack description document")
-    parser.add_argument("--mode", choices=("anonymity", "opacity"), default="anonymity")
-    parser.add_argument("--secret", help="comma-separated secret states (opacity mode)")
+# Every subcommand, once: its help and the flags it reads, in usage order.
+COMMANDS = {
+    "observer": ("build the plant observer", ("--model", "--out", "--format")),
+    "check-classic": (
+        "attack-free anonymity/opacity checks",
+        ("--model", "--out", "--fail-on-violation", "--spec", "--mode", "--secret"),
+    ),
+    "build-aobs": ("build the attack observer", (*_INPUTS, "--format")),
+    "check-violation": (
+        "can the intruder ever pin the system down?",
+        (*_INPUTS, "--format", "--fail-on-violation"),
+    ),
+    "check-enforced": (
+        "can the intruder force a violation?",
+        (*_INPUTS, "--format", "--fail-on-violation", "--strict-paper"),
+    ),
+    "synthesize": (
+        "synthesize an attack strategy",
+        (*_INPUTS, "--format", "--fail-on-violation", "--strict-paper", "--policy"),
+    ),
+    "simulate": (
+        "simulate plays of a synthesized strategy",
+        (*_INPUTS, "--fail-on-violation", "--strict-paper", "--policy", "--seed", "--max-rounds"),
+    ),
+    "oracle": (
+        "brute-force verdicts computed directly on the plant",
+        (*_INPUTS, "--fail-on-violation", "--horizon"),
+    ),
+    "export-dot": (
+        "render a pipeline stage as DOT", (*_INPUTS, "--strict-paper", "--policy", "--stage")
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,52 +114,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Anonymity/opacity analysis of NFAs under a bounded budget of state attacks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("observer", help="build the plant observer")
-    _add_common(p, needs_spec=False, dot=True)
-
-    p = sub.add_parser("check-classic", help="attack-free anonymity/opacity checks")
-    _add_common(p, needs_spec=False, fails=True)
-    _add_spec(p)
-
-    p = sub.add_parser("build-aobs", help="build the attack observer")
-    _add_common(p, needs_spec=True, dot=True)
-
-    p = sub.add_parser("check-violation", help="can the intruder ever pin the system down?")
-    _add_common(p, needs_spec=True, dot=True, fails=True)
-
-    p = sub.add_parser("check-enforced", help="can the intruder force a violation?")
-    _add_common(p, needs_spec=True, dot=True, fails=True)
-    p.add_argument("--strict-paper", action="store_true", help="literal pruning rule for result branches")
-
-    p = sub.add_parser("synthesize", help="synthesize an attack strategy")
-    _add_common(p, needs_spec=True, dot=True, fails=True)
-    p.add_argument("--strict-paper", action="store_true")
-    p.add_argument("--policy", choices=(RANKED, FIRST_VALID), default=RANKED)
-
-    p = sub.add_parser("simulate", help="simulate plays of a synthesized strategy")
-    _add_common(p, needs_spec=True, fails=True)
-    p.add_argument("--strict-paper", action="store_true")
-    p.add_argument("--policy", choices=(RANKED, FIRST_VALID), default=RANKED)
-    p.add_argument("--seed", type=int, help="seeded random system; omit for the adversarial system")
-    p.add_argument("--max-rounds", type=int, default=1000)
-
-    p = sub.add_parser("oracle", help="brute-force verdicts computed directly on the plant")
-    _add_common(p, needs_spec=True, fails=True)
-    p.add_argument("--horizon", type=int, help="event bound of the violation search (default none)")
-
-    p = sub.add_parser("export-dot", help="render a pipeline stage as DOT")
-    _add_common(p, needs_spec=True)
-    p.add_argument("--strict-paper", action="store_true")
-    p.add_argument("--policy", choices=(RANKED, FIRST_VALID), default=RANKED)
-    p.add_argument("--stage", choices=STAGES, default="model")
+    for command, (help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -222,54 +224,60 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    command = args.command
     model, attack = _load_inputs(args)
+    if args.command == "export-dot":
+        dot = export_dot(*_stage(args.stage, model, attack, args))
+        if args.out:
+            _write(args.out, dot)
+            print(json.dumps({"command": args.command, "stage": args.stage, "written": args.out}))
+        else:
+            print(dot, end="")
+        return 0
+    report, verdict, artifact = _report(args.command, model, attack, args)
+    _emit({"command": args.command, **report}, args, *artifact)
+    return 1 if verdict and getattr(args, "fail_on_violation", False) else 0
 
+
+def _report(command: str, model: Nfa, attack: AttackSpec, args):
+    """The report fields of ``command``, the verdict that --fail-on-violation
+    tests (a violated property, or an enforced attack), and the artifact
+    ``_emit`` may write: the graph and DOT name of the command's stage, or ()."""
     if command == "observer":
         obs, name = _stage("observer", model, attack, args)
         report = {
-            "command": command,
             "observer_states": len(obs.states),
             "observer_transitions": len(obs.transitions),
             "states": [str(q) for q in sorted(obs.states)],
         }
-        _emit(report, args, obs, name)
-        return 0
+        return report, False, (obs, name)
 
     if command == "check-classic":
-        anonymous = check_anonymity_classic(model)
-        report = {"command": command, "anonymous": anonymous}
-        holds = anonymous
+        report = {}
+        holds = report["anonymous"] = check_anonymity_classic(model)
         if attack.secret is not None:
             holds = report["opaque"] = check_opacity_classic(model, attack.secret)
-        _emit(report, args)
-        return 1 if args.fail_on_violation and not holds else 0
+        return report, not holds, ()
 
     if command == "build-aobs":
         aobs, name = _stage("aobs", model, attack, args)
         report = {
-            "command": command,
             "states": len(aobs.ids),
             "transitions": aobs.n_transitions,
             "initial": aobs.names([aobs.initial_id])[aobs.initial_id],
         }
-        _emit(report, args, aobs, name)
-        return 0
+        return report, False, (aobs, name)
 
     if command == "check-violation":
         verifier, name = _stage("verifier", model, attack, args)
         verdict = not verifier.is_empty
-        witness = witness_labels(verifier, attack)
         report = {
-            "command": command,
             "mode": attack.mode,
             "verdict": verdict,
             "attack_observer_states": len(verifier.parent.ids),
             "verifier_states": len(verifier.ids),
-            "witness": witness,
+            "witness": witness_labels(verifier, attack),
         }
-        _emit(report, args, verifier, name)
-        return 1 if args.fail_on_violation and verdict else 0
+        return report, verdict, (verifier, name)
 
     if command == "check-enforced":
         fv, name = _stage("final-verifier", model, attack, args)
@@ -278,48 +286,40 @@ def _dispatch(args) -> int:
         if verdict:
             rank_initial = rank_ids(fv, attack).get(fv.initial_id, INFINITE_RANK)
         report = {
-            "command": command,
             "mode": attack.mode,
             "verdict": verdict,
             "final_verifier_states": len(fv.ids),
             **_rank_fields(rank_initial),
         }
-        _emit(report, args, fv, name)
-        return 1 if args.fail_on_violation and verdict else 0
+        return report, verdict, (fv, name)
 
     if command == "synthesize":
         strategy, name = _stage("strategy", model, attack, args)
         if not isinstance(strategy, MealyStrategy):
-            report = {"command": command, "enforced": False, "forceable": None, "strategy_states": 0}
-            _emit(report, args, strategy, name)
-            return 0
+            report = {"enforced": False, "forceable": None, "strategy_states": 0}
+            return report, False, (strategy, name)
         validation = validate_strategy(strategy, strategy.graph.parent, attack)
-        rank_initial = strategy.id_ranks.get(strategy.initial_id)
         report = {
-            "command": command,
             "enforced": True,
             "policy": strategy.policy,
             "strategy_states": len(strategy.ids),
             "strategy_edges": strategy.n_edges,
             "sound": validation.sound,
             "max_rounds": validation.max_rounds,
-            **_rank_fields(rank_initial),
+            **_rank_fields(strategy.id_ranks.get(strategy.initial_id)),
             "edges": strategy_edge_rows(strategy, strategy.names()),
         }
-        _emit(report, args, strategy, name)
-        return 1 if args.fail_on_violation else 0
+        return report, True, (strategy, name)
 
     if command == "simulate":
         if args.max_rounds < 1:  # whatever the verdict would be
             raise InputError("max_rounds must be at least 1")
         strategy, _ = _stage("strategy", model, attack, args)
         if not isinstance(strategy, MealyStrategy):
-            _emit({"command": command, "enforced": False, "outcome": None}, args)
-            return 0
+            return {"enforced": False, "outcome": None}, False, ()
         policy = RandomSeeded(args.seed) if args.seed is not None else Adversarial()
         trace = simulate_play(model, strategy, policy, args.max_rounds)
         report = {
-            "command": command,
             "enforced": True,
             "outcome": trace.outcome,
             "rounds": [
@@ -333,32 +333,16 @@ def _dispatch(args) -> int:
                 for rnd in trace.rounds
             ],
         }
-        _emit(report, args)
-        return 1 if args.fail_on_violation and trace.outcome == "violated" else 0
+        return report, trace.outcome == "violated", ()
 
-    if command == "oracle":
-        violation = oracle_check_violation(model, attack, args.horizon)
-        enforced = oracle_check_enforced(model, attack)
-        report = {
-            "command": command,
-            "horizon": args.horizon,
-            "violation": violation,
-            "enforced": enforced,
-        }
-        _emit(report, args)
-        return 1 if args.fail_on_violation and violation else 0
-
-    if command == "export-dot":
-        graph, name = _stage(args.stage, model, attack, args)
-        dot = export_dot(graph, name)
-        if args.out:
-            _write(args.out, dot)
-            print(json.dumps({"command": command, "stage": args.stage, "written": args.out}))
-        else:
-            print(dot, end="")
-        return 0
-
-    raise InputError(f"unknown command {command!r}")
+    # oracle, the last command
+    violation = oracle_check_violation(model, attack, args.horizon)
+    report = {
+        "horizon": args.horizon,
+        "violation": violation,
+        "enforced": oracle_check_enforced(model, attack),
+    }
+    return report, violation, ()
 
 
 if __name__ == "__main__":

@@ -15,8 +15,9 @@ from .strategy import MealyStrategy
 
 class InputError(ValueError):
     """Malformed model or attack document; the message leads with its
-    category. The parsers raise "syntax error" (the document's shape) and
-    "reserved character" (a state name holding ',', '{' or '}'). The rest
+    category. The parsers raise "syntax error" (the document's shape, or a
+    state or event name holding a lone surrogate, which UTF-8 cannot encode)
+    and "reserved character" (a state name holding ',', '{' or '}'). The rest
     come from the type owning the rule, as a ValueError the parsers re-raise:
     "unknown identifier" from ``Nfa`` and ``AttackSpec.validate_for``,
     "reserved label" from ``check_plant_events``, "negative budget" and a
@@ -69,6 +70,11 @@ def parse_model(text: str) -> Nfa:
     if _RESERVED_CHARS.search("".join(states)):
         clash = [name for name in states if _RESERVED_CHARS.search(name)]
         raise InputError(f"reserved character: state names {clash!r} hold ',', '{{' or '}}'")
+    try:  # a lone surrogate is valid JSON, yet no report holding it can be printed
+        "".join([*states, *events]).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        bad = exc.object[exc.start:exc.end]
+        raise InputError(f"syntax error in model document: lone surrogate {bad!r} in a name") from exc
     try:
         check_plant_events(events)
         return Nfa(states, events, transitions, initial)

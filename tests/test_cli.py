@@ -1,5 +1,6 @@
 """Command-line behavior: reports, artifacts, and the exit-code contract."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -16,7 +17,7 @@ from hypothesis import strategies as hs
 from helpers import TEN_STATE_TRANSITIONS
 
 import stateattack
-from stateattack.cli import STAGES, main
+from stateattack.cli import STAGES, build_parser, main
 
 
 @pytest.fixture()
@@ -270,6 +271,11 @@ def test_input_errors_exit_2(capsys, tmp_path, model_path):
                "--attacked", "2", "--budget", "-1")[0] == 2
     assert run(capsys, "check-violation", "--model", model_path)[0] == 2  # no spec at all
     assert run(capsys, "observer", "--model", str(tmp_path / "missing.json"))[0] == 2
+    bad_model.write_bytes(b"\xff{}")  # not UTF-8
+    for argv in (["observer", "--model", str(bad_model)],
+                 ["check-violation", "--model", model_path, "--spec", str(bad_model)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {bad_model}: ")
 
 
 @pytest.mark.parametrize("command", ["synthesize", "export-dot"])
@@ -294,6 +300,8 @@ def test_unwritable_out_exits_2(capsys, tmp_path, command):
         ({"transitions": [["1", "z", "2"]]}, None, "unknown identifier"),
         ({}, {"opacity": ["7"]}, "syntax error"),
         ({}, {"opacity": {"secret_states": ["99"]}}, "unknown identifier"),
+        ({"states": [str(i) for i in range(1, 11)] + ["\ud800"]}, None, "syntax error"),
+        ({"events": ["a", "b", "c", "d", "\ud800"]}, None, "syntax error"),
     ],
 )
 def test_malformed_documents_exit_2_with_their_category(
@@ -466,6 +474,79 @@ def test_importing_the_package_leaves_the_cli_out():
         check=True,
     )
     assert result.stdout == "set()\n"
+
+
+# --- the command-line contract ------------------------------------------------
+
+# (option strings, dest, default, choices, type, required) of each action of a
+# subcommand, in the order its usage line lists them.
+HELP = (("-h", "--help"), "help", argparse.SUPPRESS, None, None, False)
+MODEL = (("--model",), "model", None, None, None, True)
+SPEC = (("--spec",), "spec", None, None, None, False)
+MODE = (("--mode",), "mode", "anonymity", ("anonymity", "opacity"), None, False)
+SECRET = (("--secret",), "secret", None, None, None, False)
+ATTACKED = (("--attacked",), "attacked", None, None, None, False)
+BUDGET = (("--budget",), "budget", None, None, int, False)
+OUT = (("--out",), "out", None, None, None, False)
+FORMAT = (("--format",), "format", "json", ("json", "dot"), None, False)
+FAILS = (("--fail-on-violation",), "fail_on_violation", False, None, None, False)
+STRICT = (("--strict-paper",), "strict_paper", False, None, None, False)
+POLICY = (("--policy",), "policy", "ranked", ("ranked", "first-valid"), None, False)
+INPUTS = (HELP, MODEL, SPEC, MODE, SECRET, ATTACKED, BUDGET, OUT)
+STAGE_CHOICES = ("model", "observer", "aobs", "verifier", "final-verifier", "strategy")
+PARSER_CONTRACT = {
+    "observer": ("build the plant observer", (HELP, MODEL, OUT, FORMAT)),
+    "check-classic": (
+        "attack-free anonymity/opacity checks", (HELP, MODEL, OUT, FAILS, SPEC, MODE, SECRET),
+    ),
+    "build-aobs": ("build the attack observer", (*INPUTS, FORMAT)),
+    "check-violation": ("can the intruder ever pin the system down?", (*INPUTS, FORMAT, FAILS)),
+    "check-enforced": ("can the intruder force a violation?", (*INPUTS, FORMAT, FAILS, STRICT)),
+    "synthesize": ("synthesize an attack strategy", (*INPUTS, FORMAT, FAILS, STRICT, POLICY)),
+    "simulate": (
+        "simulate plays of a synthesized strategy",
+        (
+            *INPUTS, FAILS, STRICT, POLICY,
+            (("--seed",), "seed", None, None, int, False),
+            (("--max-rounds",), "max_rounds", 1000, None, int, False),
+        ),
+    ),
+    "oracle": (
+        "brute-force verdicts computed directly on the plant",
+        (*INPUTS, FAILS, (("--horizon",), "horizon", None, None, int, False)),
+    ),
+    "export-dot": (
+        "render a pipeline stage as DOT",
+        (*INPUTS, STRICT, POLICY, (("--stage",), "stage", "model", STAGE_CHOICES, None, False)),
+    ),
+}
+
+
+def test_every_subcommand_keeps_its_flags():
+    [subparsers] = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    helps = {action.dest: action.help for action in subparsers._choices_actions}
+    assert list(subparsers.choices) == list(PARSER_CONTRACT)
+    for command, (help_text, actions) in PARSER_CONTRACT.items():
+        assert helps[command] == help_text
+        assert tuple(
+            (
+                tuple(action.option_strings), action.dest, action.default,
+                None if action.choices is None else tuple(action.choices),
+                action.type, action.required,
+            )
+            for action in subparsers.choices[command]._actions
+        ) == actions, command
+
+
+@pytest.mark.parametrize("command", list(PARSER_CONTRACT))
+def test_every_subcommand_renders_its_help(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: stateattack {command} [-h] --model MODEL")
 
 
 # --- malformed documents, generated ------------------------------------------
