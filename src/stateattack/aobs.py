@@ -124,6 +124,7 @@ class AttackObserver:
         # Built on first use and kept by the full graph (see ``parent``).
         self._index: dict | None = None  # (phase, count, tag, mask) -> id
         self._preds: tuple | None = None
+        self._violating: dict = {}  # (single, outside) -> the ids ``violating_ids`` found
 
     @property
     def parent(self) -> "AttackObserver":
@@ -393,30 +394,36 @@ def build_attack_observer(g: Nfa, attack: AttackSpec) -> AttackObserver:
     return AttackObserver(attack, order, phase, count, tag, mask, labels, succ, start)
 
 
-def attractor(graph: AttackObserver, targets: Iterable[int], need: list) -> dict:
+def attractor(graph: AttackObserver, targets: Iterable[int], rule: dict) -> dict:
     """Least set of nodes from which play can be forced into ``targets``, as
-    ``{id: rank}``.
+    ``{id: rank}``, over the transitions ``graph`` keeps.
 
-    Targets have rank 0. A node ``i`` with ``need[i] > 0`` joins once that
-    many of its outgoing transitions lead inside, one rank above the last of
-    them; a node with ``need[i] == 0`` joins only as a target. A count of 1
-    is a move of the forcing player, a count of all outgoing transitions one
-    of its opponent. Linear in the size of the graph.
+    Targets have rank 0. ``rule`` maps each phase to what a node of that
+    phase needs before it joins, one rank above the last transition that
+    brought it in: 1 when the forcing player moves (one transition inside),
+    None when its opponent moves (every kept transition inside), and 0 when
+    the node joins only as a target. The counters start from a copy of
+    ``degree``, and a node's phase is read only when a transition into the
+    set reaches it, so the work follows what the set reaches, not the size
+    of the graph.
     """
     ranks = dict.fromkeys(targets, 0)
-    missing = list(need)
+    missing = graph.degree.copy()  # once reached: minus the transitions still needed inside
     for i in ranks:
         missing[i] = 0
+    phase = graph.phase
     pstart, psrc = graph.preds
     queue = list(ranks)
     for j in queue:  # grows while it is walked: breadth first, so by rank
         rank = ranks[j] + 1
         for i in psrc[pstart[j]:pstart[j + 1]]:
             left = missing[i]
-            if left:
-                missing[i] = left - 1
-                if left == 1:
+            if left > 0:  # the first transition of i found inside
+                need = rule[phase[i]]
+                left = -left if need is None else -need
+            if left < 0:
+                missing[i] = left + 1
+                if left == -1:
                     ranks[i] = rank
                     queue.append(i)
     return ranks
-

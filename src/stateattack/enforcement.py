@@ -5,9 +5,13 @@ enforcement verdict."""
 from __future__ import annotations
 
 from .aobs import AttackObserver, attractor
-from .attackmodel import PHASE_DECIDE, PHASE_SYSTEM, AttackSpec
+from .attackmodel import PHASE_AWAIT, PHASE_DECIDE, PHASE_SYSTEM, AttackSpec
 from .automata import Nfa
 from .violation import check_violation
+
+# What a node of each phase needs to join the system's attractor.
+_PRUNING_RULE = {PHASE_DECIDE: None, PHASE_SYSTEM: 1, PHASE_AWAIT: 1}
+_STRICT_PRUNING_RULE = {**_PRUNING_RULE, PHASE_AWAIT: 0}
 
 
 def final_verifier(v: AttackObserver, aobs: AttackObserver, strict_paper: bool = False) -> AttackObserver:
@@ -21,12 +25,8 @@ def final_verifier(v: AttackObserver, aobs: AttackObserver, strict_paper: bool =
     """
     if len(v.ids) == len(aobs.ids):
         return v
-    await_need = 0 if strict_paper else 1
-    need = [
-        (d if p == PHASE_DECIDE else 1 if p == PHASE_SYSTEM else await_need) if k else 0
-        for p, d, k in zip(v.phase, aobs.degree, v.kept)
-    ]
-    expelled = attractor(aobs, [i for i in aobs.ids if not v.kept[i]], need)
+    rule = _STRICT_PRUNING_RULE if strict_paper else _PRUNING_RULE
+    expelled = attractor(aobs, [i for i in aobs.ids if not v.kept[i]], rule)
     held = [i for i in v.ids if i not in expelled]
     if len(held) == len(v.ids):
         return v

@@ -11,7 +11,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .aobs import AObsState, AttackObserver, attractor
-from .attackmodel import ATTACK_NO, ATTACK_YES, EPSILON, PHASE_DECIDE, RESULT_LABELS, AttackSpec
+from .attackmodel import (
+    ATTACK_NO, ATTACK_YES, EPSILON, PHASE_AWAIT, PHASE_DECIDE, PHASE_SYSTEM, RESULT_LABELS, AttackSpec,
+)
 from .automata import Nfa, StateEstimate
 from .violation import mask_violates, violating_ids
 
@@ -19,6 +21,8 @@ RANKED = "ranked"
 FIRST_VALID = "first-valid"
 
 INFINITE_RANK = math.inf
+# The intruder picks the decision; the system picks events and results.
+_RANK_RULE = {PHASE_DECIDE: 1, PHASE_SYSTEM: None, PHASE_AWAIT: None}
 
 
 class StrategyError(RuntimeError):
@@ -31,8 +35,7 @@ def rank_ids(fv: AttackObserver, attack: AttackSpec) -> dict:
     violating estimate, as ``{id: rank}``: violating system-move nodes are at
     0, decision nodes take the best decision, everything else the worst
     successor. Nodes from which a violation cannot be forced are left out."""
-    need = [k if p == PHASE_DECIDE else d for p, d, k in zip(fv.phase, fv.degree, fv.kept)]
-    return attractor(fv.parent, violating_ids(fv, attack), need)
+    return attractor(fv, violating_ids(fv, attack), _RANK_RULE)
 
 
 def compute_ranks(fv: AttackObserver, attack: AttackSpec) -> Mapping:

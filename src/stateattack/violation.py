@@ -8,7 +8,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .aobs import AttackObserver, attractor, build_attack_observer
-from .attackmodel import PHASE_AWAIT, PHASE_SYSTEM, AttackSpec
+from .attackmodel import PHASE_AWAIT, PHASE_DECIDE, PHASE_SYSTEM, AttackSpec
 from .automata import Nfa, StateEstimate
 
 
@@ -41,13 +41,25 @@ def mask_violates(graph: AttackObserver, attack: AttackSpec) -> Callable[[int], 
 
 
 def violating_ids(graph: AttackObserver, attack: AttackSpec) -> list:
-    """The kept system-move nodes whose estimate mask violates."""
-    phase, mask = graph.phase, graph.mask
-    single, outside = _violation_masks(graph, attack)
-    return [
-        i for i in graph.ids
-        if phase[i] == PHASE_SYSTEM and not (m := mask[i]) & (m - 1 & single | outside)
-    ]
+    """The kept system-move nodes whose estimate mask violates, in id order.
+    The full graph is scanned once per violation rule and keeps the list
+    beside its predecessor index; a restriction takes the ids it keeps."""
+    base = graph.parent
+    key = single, outside = _violation_masks(graph, attack)
+    found = base._violating.get(key)
+    if found is None:
+        phase, mask = base.phase, base.mask
+        found = base._violating[key] = [
+            i for i in base.ids
+            if phase[i] == PHASE_SYSTEM and not (m := mask[i]) & (m - 1 & single | outside)
+        ]
+    if graph is base:
+        return found
+    kept = graph.kept
+    return [i for i in found if kept[i]]
+
+
+_CLOSURE_RULE = {PHASE_DECIDE: 1, PHASE_SYSTEM: 1, PHASE_AWAIT: None}
 
 
 def intermediate_violating_fixpoint(aobs: AttackObserver, attack: AttackSpec) -> dict:
@@ -55,8 +67,7 @@ def intermediate_violating_fixpoint(aobs: AttackObserver, attack: AttackSpec) ->
     a violating estimate: its attractor to the violating system-move nodes,
     as ``{id: rank}``. A result-wait node needs every defined result inside,
     any other node one transition."""
-    need = [d if p == PHASE_AWAIT else k for p, d, k in zip(aobs.phase, aobs.degree, aobs.kept)]
-    return attractor(aobs, violating_ids(aobs, attack), need)
+    return attractor(aobs, violating_ids(aobs, attack), _CLOSURE_RULE)
 
 
 def build_verifier(aobs: AttackObserver, closure) -> AttackObserver:

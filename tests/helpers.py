@@ -2,9 +2,10 @@
 attack-observer states, the deterministic random-instance corpus, the
 paper's composed construction of the attack observer, the worklist builder
 with one index over whole node keys that ``build_attack_observer``
-replaced, the strategy synthesis that walks on past the first violation,
-and the reference strategy validation and play simulation that test the
-violating predicate on estimates."""
+replaced, the attractor over one need count per node that the per-phase
+rules of ``aobs.attractor`` replaced, the strategy synthesis that walks on
+past the first violation, and the reference strategy validation and play
+simulation that test the violating predicate on estimates."""
 
 import random
 from collections import deque
@@ -213,6 +214,32 @@ def flat_attack_observer(attack, order, nodes, labels, targets, initial=0) -> At
     succ = [j for out in targets for j in out]
     start = [0, *accumulate(map(len, targets))]
     return AttackObserver(attack, order, phase, count, tag, mask, labels, succ, start, initial)
+
+
+def need_list_attractor(graph: AttackObserver, targets, need: list) -> dict:
+    """The attractor with one need count per node, as ``{id: rank}``:
+    targets have rank 0, and a node ``i`` with ``need[i] > 0`` joins once
+    that many of its transitions lead inside, one rank above the last of
+    them; a node with ``need[i] == 0`` joins only as a target. The caller
+    writes the count of every node of ``graph``'s full graph, so
+    ``aobs.attractor`` with a per-phase rule must give the same ranks as
+    this with the matching list."""
+    ranks = dict.fromkeys(targets, 0)
+    missing = list(need)
+    for i in ranks:
+        missing[i] = 0
+    pstart, psrc = graph.preds
+    queue = list(ranks)
+    for j in queue:  # grows while it is walked: breadth first, so by rank
+        rank = ranks[j] + 1
+        for i in psrc[pstart[j]:pstart[j + 1]]:
+            left = missing[i]
+            if left:
+                missing[i] = left - 1
+                if left == 1:
+                    ranks[i] = rank
+                    queue.append(i)
+    return ranks
 
 
 def _full_decision(fv, ranks, policy, reference, turn) -> str:

@@ -1,7 +1,8 @@
 """The attack-observer game graph: the worklist builder against the paper's
 composed construction and the builder with one index over whole node keys,
 on fixed and on drawn plants, the builder's memory at huge budgets, the
-objects a verdict leaves for the cyclic collector, fixture sizes,
+objects a verdict leaves for the cyclic collector, the phases the ranks
+read, the violating ids a graph keeps per rule, fixture sizes,
 transition chains, phases, and the estimate-filtering semantics
 cross-checked against the direct trace evaluation."""
 
@@ -50,6 +51,7 @@ from stateattack import (
     witness_labels,
 )
 from stateattack.oracle import AttackRound, AttackTrace
+from stateattack.violation import violating_ids, violation_predicate
 
 SAMPLES = Path(__file__).parent.parent / "samples"
 COLUMNS = ("phase", "count", "tag", "mask", "labels", "succ", "start", "degree")
@@ -220,6 +222,62 @@ def test_verdicts_keep_no_per_node_objects():
         gc.enable()
     assert enforced and len(fv.parent.ids) == 18_464 and ranks
     assert added < 200
+
+
+class CountingList(list):
+    """A list that counts the items read from it, one by one or by iteration."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += len(range(*key.indices(len(self)))) if isinstance(key, slice) else 1
+        return super().__getitem__(key)
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.reads += 1
+            yield item
+
+
+def test_ranks_read_only_the_phases_they_reach():
+    """On 18,464 nodes, of which 46 can be forced to a violation, the ranks
+    read the phase of no more than a quarter of the nodes: the attractor
+    reads a node's phase only when it reaches the node, and the violating
+    nodes come from the scan the verdict made."""
+    plant, attack = exponential_observer_plant(12), AttackSpec(frozenset({"6"}), 2)
+    enforced, fv = check_enforced(plant, attack)
+    nodes = len(fv.parent.ids)
+    expected = rank_ids(fv, attack)
+    fv.phase = phase = CountingList(fv.phase)
+    assert rank_ids(fv, attack) == expected
+    assert enforced and nodes == 18_464 and len(expected) == 46
+    assert phase.reads <= nodes // 4
+
+
+def test_violating_ids_are_scanned_once_per_rule():
+    """The full graph scans for each violation rule once and keeps the list; a
+    restriction gets the ids of it that it keeps, in id order."""
+    plant = exponential_observer_plant(6)
+    anonymity = AttackSpec(frozenset({"2"}), 2)
+    opacity = AttackSpec(frozenset({"2"}), 2, frozenset({"1", "2", "3"}))
+    aobs = build_attack_observer(plant, anonymity)
+    for attack in (anonymity, opacity):
+        found = violating_ids(aobs, attack)
+        assert violating_ids(aobs, attack) is found
+        assert found == [
+            i for i in aobs.ids
+            if aobs.phase[i] == PHASE_SYSTEM and violation_predicate(aobs.state_of(i).estimate, attack)
+        ]
+    assert len(aobs._violating) == 2
+    assert violating_ids(aobs, anonymity) != violating_ids(aobs, opacity)
+    # Without the initial decline (node 1) the first move is an attack, and
+    # the restricting walk meets the nodes in another order than their ids.
+    view = aobs.restrict_ids([i for i in aobs.ids if i != 1])
+    assert 0 < len(view.ids) < len(aobs.ids) and view.ids != sorted(view.ids)
+    for attack in (anonymity, opacity):
+        violating = set(violating_ids(aobs, attack))
+        assert violating_ids(view, attack) == sorted(i for i in view.ids if i in violating)
+    assert len(aobs._violating) == 2
 
 
 def test_attack_observer_fixture_34_states(aobs_24):

@@ -1,11 +1,14 @@
 """Enforcement analysis: which states of each type the pruning holds, the
-pruning to the holdable region, its order-insensitivity, the verdicts'
+pruning to the holdable region, its order-insensitivity, the attractor's
+per-phase rules against the need lists they replaced, the verdicts'
 shortcuts for a verifier that keeps every node, and the enforcement
 verdict."""
 
+from pathlib import Path
+
 import pytest
 
-from helpers import aob
+from helpers import aob, need_list_attractor
 
 from stateattack import (
     PHASE_AWAIT,
@@ -21,10 +24,18 @@ from stateattack import (
     compute_ranks,
     final_verifier,
     intermediate_violating_fixpoint,
+    parse_model,
+    parse_spec,
     rank_ids,
     witness_labels,
 )
 from stateattack.aobs import AObsState, attractor
+from stateattack.enforcement import _PRUNING_RULE, _STRICT_PRUNING_RULE
+from stateattack.strategy import _RANK_RULE
+from stateattack.violation import _CLOSURE_RULE, violating_ids
+
+SAMPLES = Path(__file__).parent.parent / "samples"
+SAMPLE_ATTACKS = ("attack-narrow.json", "attack-wide.json", "attack-opacity.json")
 
 DEADLOCKED = Nfa(["x"], ["a"], [], ["x"])  # one state with no transition
 
@@ -207,18 +218,67 @@ def test_pruning_is_order_insensitive(plant, attack_24, attack_2489, instances, 
         assert fv.transitions == expected.transitions
 
 
-def pruned_by_attractor(v: AttackObserver, strict_paper: bool) -> AttackObserver:
-    """``final_verifier`` without its full-cover shortcut: the system's
-    attractor to the nodes ``v`` leaves out, and the restriction to the
-    rest."""
-    aobs = v.parent
+def closure_need(graph: AttackObserver) -> list:
+    """The intruder's counts for the violation closure: every defined result
+    at a result-wait node, one transition elsewhere."""
+    return [d if p == PHASE_AWAIT else k for p, d, k in zip(graph.phase, graph.degree, graph.kept)]
+
+
+def pruning_need(graph: AttackObserver, strict_paper: bool) -> list:
+    """The system's counts for the pruning: every decision at a decision
+    node, one event at a system-move node, and one result at a result-wait
+    node, or none with ``strict_paper``."""
     await_need = 0 if strict_paper else 1
-    need = [
+    return [
         (d if p == PHASE_DECIDE else 1 if p == PHASE_SYSTEM else await_need) if k else 0
-        for p, d, k in zip(v.phase, aobs.degree, v.kept)
+        for p, d, k in zip(graph.phase, graph.degree, graph.kept)
     ]
-    expelled = attractor(aobs, [i for i in aobs.ids if not v.kept[i]], need)
+
+
+def rank_need(graph: AttackObserver) -> list:
+    """The intruder's counts for the ranks: one decision at a decision node,
+    every kept transition elsewhere."""
+    return [k if p == PHASE_DECIDE else d for p, d, k in zip(graph.phase, graph.degree, graph.kept)]
+
+
+def pruned_by_attractor(v: AttackObserver, strict_paper: bool) -> AttackObserver:
+    """``final_verifier`` without its full-cover shortcut, on the need-list
+    attractor: the system's attractor to the nodes ``v`` leaves out, and the
+    restriction to the rest."""
+    aobs = v.parent
+    outside = [i for i in aobs.ids if not v.kept[i]]
+    expelled = need_list_attractor(aobs, outside, pruning_need(aobs, strict_paper))
     return aobs.restrict_ids([i for i in v.ids if i not in expelled])
+
+
+RULES = {
+    "closure": (_CLOSURE_RULE, closure_need),
+    "pruning": (_PRUNING_RULE, lambda graph: pruning_need(graph, False)),
+    "strict pruning": (_STRICT_PRUNING_RULE, lambda graph: pruning_need(graph, True)),
+    "ranks": (_RANK_RULE, rank_need),
+}
+
+
+def sample_instances() -> list:
+    plant = parse_model((SAMPLES / "model.json").read_text())
+    return [(plant, parse_spec((SAMPLES / name).read_text(), plant)) for name in SAMPLE_ATTACKS]
+
+
+@pytest.mark.parametrize("name", list(RULES))
+def test_rules_match_the_need_lists(instances, name):
+    """``attractor`` with each per-phase rule gives the ranks of the need-list
+    attractor with the matching counts: on the full graph, the verifier and
+    the final verifiers of both pruning modes, towards their violating nodes,
+    and on the full graph towards the nodes each restriction leaves out."""
+    rule, need = RULES[name]
+    for plant, attack in [*instances, *sample_instances()]:
+        _, verifier = check_violation(plant, attack)
+        aobs = verifier.parent
+        views = [verifier, *(final_verifier(verifier, aobs, strict) for strict in (False, True))]
+        cases = [(graph, violating_ids(graph, attack)) for graph in (aobs, *views)]
+        cases += [(aobs, [i for i in aobs.ids if not view.kept[i]]) for view in views]
+        for graph, targets in cases:
+            assert attractor(graph, targets, rule) == need_list_attractor(graph, targets, need(graph))
 
 
 def assert_same_restriction(graph: AttackObserver, reference: AttackObserver, attack) -> None:

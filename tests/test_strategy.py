@@ -100,12 +100,15 @@ def value_iteration_ranks(fv, attack) -> dict:
 
 
 def test_ranks_match_value_iteration(fv_2489, attack_2489, instances):
+    """On every enforced instance's final verifier in both pruning modes: the
+    pruning's rule for result-wait nodes is what strict mode changes."""
     cases = [(fv_2489, attack_2489)]
-    for plant, attack in instances[:80]:
-        enforced, fv = check_enforced(plant, attack)
-        if enforced:
-            cases.append((fv, attack))
-    assert len(cases) > 20
+    for plant, attack in instances:
+        for strict_paper in (False, True):
+            enforced, fv = check_enforced(plant, attack, strict_paper)
+            if enforced:
+                cases.append((fv, attack))
+    assert len(cases) == 1 + 124 + 143
     for fv, attack in cases:
         assert compute_ranks(fv, attack) == value_iteration_ranks(fv, attack)
 
