@@ -108,7 +108,6 @@ class AttackObserver:
         and leading to ``succ[start[i]:start[i + 1]]``."""
         self.attack = attack
         self.order = order
-        self._bit = {state: b for b, state in enumerate(order)}  # plant state -> its mask bit
         self.phase, self.count, self.tag, self.mask = phase, count, tag, mask
         self.labels = labels
         self.succ = succ
@@ -157,9 +156,15 @@ class AttackObserver:
             base._preds = pstart, psrc
         return base._preds
 
+    @functools.cached_property
+    def _bit(self) -> dict:
+        """Plant state -> its mask bit. Built on the first ``mask_of`` of the
+        full graph, which its restrictions read too."""
+        return dict(zip(self.order, range(len(self.order))))
+
     def mask_of(self, states: Iterable[str]) -> int:
         """The estimate mask of a set of plant states."""
-        bit = self._bit
+        bit = self.parent._bit
         return sum(1 << bit[state] for state in states)
 
     def kept_targets(self, i: int) -> list:

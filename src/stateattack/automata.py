@@ -9,25 +9,41 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
-from typing import Hashable, Iterable, Iterator, Mapping, Union
+from operator import itemgetter
+from typing import Collection, Hashable, Iterable, Iterator, Mapping, Union
 
 State = Hashable
 Label = str
 
 _EMPTY: frozenset = frozenset()
+_SOURCE, _LABEL, _TARGET = itemgetter(0), itemgetter(1), itemgetter(2)  # of an edge
+_DIGIT_RUNS = re.compile(r"(\d+)")
 
 
 @functools.lru_cache(maxsize=4096, typed=True)
 def _natural_key(value) -> tuple:
-    """Sort key ordering digit runs numerically, so "2" sorts before "10".
-    Memoised: every estimate made sorts its members with it."""
+    """Sort key ordering digit runs numerically, so "2" sorts before "10":
+    one flat tuple of (0, number, "") per run of decimal digits, (1, 0, text)
+    per text between runs, and (1, 0, the whole name). The runs are the odd
+    positions of the split: ``str.isdigit`` also holds for digits such as
+    "²" that ``int`` cannot read. Memoised: every estimate made sorts its
+    members with it."""
     text = value if isinstance(value, str) else str(value)
-    key = tuple(
-        (0, int(part), "") if part.isdigit() else (1, 0, part)
-        for part in re.split(r"(\d+)", text)
-        if part
-    )
-    return key + ((1, 0, text),)
+    key: list = []
+    for position, part in enumerate(_DIGIT_RUNS.split(text)):
+        if position & 1:
+            key += (0, int(part), "")
+        elif part:
+            key += (1, 0, part)
+    key += (1, 0, text)
+    return tuple(key)
+
+
+def _play_order(move: tuple) -> tuple:
+    """Sort key of an (event, successor) move: the event, then the
+    successor's string."""
+    event, target = move
+    return event, str(target)
 
 
 @dataclass(frozen=True, order=True)
@@ -76,31 +92,50 @@ class Nfa:
     ):
         self.states = frozenset(states)
         self.events = frozenset(events)
-        self.transitions = frozenset((s, e, t) for s, e, t in transitions)
+        self.transitions = frozenset(map(tuple, transitions))
         self.initial = frozenset(initial)
         if not self.initial:
             raise ValueError("an NFA needs at least one initial state")
+        if not set(map(len, self.transitions)) <= {3}:
+            raise ValueError("syntax error: each transition must be (source, label, target)")
         _check_declared(self, self.initial, self.transitions)
+        self._moves: dict = {}  # state -> its moves (see ``moves``), filled on lookup
+
+    @functools.cached_property
+    def _index(self) -> tuple:
+        """``(succ, enabled)``: the targets of each (state, label) and the
+        labels of each state, as frozensets, built in one pass on first use.
+        A verdict reads the plant only through ``transitions``."""
         succ: dict = {}
         enabled: dict = {}
         for src, label, dst in self.transitions:
             succ.setdefault((src, label), set()).add(dst)
             enabled.setdefault(src, set()).add(label)
-        self._succ = {key: frozenset(value) for key, value in succ.items()}
-        self._enabled = {src: frozenset(labels) for src, labels in enabled.items()}
-        self._moves: dict = {}  # state -> its moves (see ``moves``), filled on lookup
+        succ = {key: frozenset(value) for key, value in succ.items()}
+        return succ, {src: frozenset(labels) for src, labels in enabled.items()}
 
     def successors(self, state: State, label: Label) -> frozenset:
-        return self._succ.get((state, label), _EMPTY)
+        return self._index[0].get((state, label), _EMPTY)
 
     def image(self, states: Iterable[State], label: Label) -> frozenset:
+        succ = self._index[0]
         out: set = set()
         for state in states:
-            out |= self._succ.get((state, label), _EMPTY)
+            out |= succ.get((state, label), _EMPTY)
         return frozenset(out)
 
     def enabled(self, state: State) -> frozenset:
-        return self._enabled.get(state, _EMPTY)
+        return self._index[1].get(state, _EMPTY)
+
+    @functools.cached_property
+    def _out(self) -> dict:
+        """State -> its (label, target) pairs: the index ``moves`` reads,
+        built in one pass on first use. It is cheaper than ``_index``, which
+        a play does not need."""
+        out: dict = {}
+        for src, label, dst in self.transitions:
+            out.setdefault(src, []).append((label, dst))
+        return out
 
     def moves(self, state: State) -> tuple:
         """The (event, successor) pairs of ``state``: events in sorted order,
@@ -108,11 +143,7 @@ class Nfa:
         from the moves of every true state it passes, often more than once."""
         moves = self._moves.get(state)
         if moves is None:
-            moves = self._moves[state] = tuple(
-                (event, target)
-                for event in sorted(self.enabled(state))
-                for target in sorted(self.successors(state, event), key=str)
-            )
+            moves = self._moves[state] = tuple(sorted(self._out.get(state, ()), key=_play_order))
         return moves
 
     def __repr__(self) -> str:
@@ -137,7 +168,7 @@ class Dfa:
         self.events = frozenset(events)
         self.transitions = dict(transitions)
         self.initial = initial
-        edges = ((src, label, dst) for (src, label), dst in self.transitions.items())
+        edges = [(src, label, dst) for (src, label), dst in self.transitions.items()]
         _check_declared(self, frozenset([initial]), edges)
 
     def step(self, state: State, label: Label):
@@ -162,17 +193,25 @@ def check_states(names: frozenset, states: frozenset, what: str) -> None:
         raise ValueError(f"unknown identifier: {what} {listed!r} are not declared states")
 
 
-def _check_declared(auto: Automaton, initial: frozenset, edges: Iterable[tuple]) -> None:
+def _check_declared(auto: Automaton, initial: frozenset, edges: Collection[tuple]) -> None:
     """The initial states and every (source, label, target) edge of ``auto``
-    use only its declared states and events."""
+    use only its declared states and events. The edges are checked in three
+    set passes; the loop runs only to name the first offending edge."""
     check_states(initial, auto.states, "initial states")
+    states, events = auto.states, auto.events
+    if (
+        states.issuperset(map(_SOURCE, edges))
+        and states.issuperset(map(_TARGET, edges))
+        and events.issuperset(map(_LABEL, edges))
+    ):
+        return
     for edge in edges:
         src, label, dst = edge
-        if src not in auto.states or dst not in auto.states:
+        if src not in states or dst not in states:
             raise ValueError(
                 f"unknown identifier: transition endpoint in {edge!r} is not a declared state"
             )
-        if label not in auto.events:
+        if label not in events:
             raise ValueError(
                 f"unknown identifier: transition label in {edge!r} is not a declared event"
             )

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import chain
 
 from .aobs import AttackObserver
 from .attackmodel import PHASE_AWAIT, PHASE_DECIDE, PHASE_SYSTEM, AttackSpec, check_plant_events
@@ -37,7 +38,7 @@ def _load_json(text: str, what: str) -> dict:
 
 def _string_list(document: dict, key: str, what: str) -> list:
     value = document.get(key)
-    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+    if not isinstance(value, list) or not set(map(type, value)) <= {str}:
         raise InputError(f"syntax error in {what} document: {key!r} must be a list of strings")
     return value
 
@@ -60,11 +61,14 @@ def parse_model(text: str) -> Nfa:
     transitions = document.get("transitions")
     if not isinstance(transitions, list):
         raise InputError("syntax error in model document: 'transitions' must be a list")
-    for row in transitions:
-        if not (isinstance(row, list) and len(row) == 3 and all(isinstance(x, str) for x in row)):
-            raise InputError(
-                "syntax error in model document: each transition must be [source, event, target]"
-            )
+    if not (  # row types, row lengths, item types: one builtin pass each
+        set(map(type, transitions)) <= {list}
+        and set(map(len, transitions)) <= {3}
+        and set(map(type, chain.from_iterable(transitions))) <= {str}
+    ):
+        raise InputError(
+            "syntax error in model document: each transition must be [source, event, target]"
+        )
     if not initial:
         raise InputError("syntax error in model document: at least one initial state is required")
     if _RESERVED_CHARS.search("".join(states)):

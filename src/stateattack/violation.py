@@ -81,24 +81,38 @@ def build_verifier(aobs: AttackObserver, closure) -> AttackObserver:
 def witness_labels(verifier: AttackObserver, attack: AttackSpec) -> list | None:
     """Shortest label sequence in the verifier from its initial state to a
     violating estimate, the least in label order among the shortest, or None
-    when the verifier is empty."""
+    when the verifier is empty.
+
+    The search walks the graph's lists. Every node's labels are in label
+    order but a result-wait node's ("1", "0"), so its targets are taken in
+    reverse. A node keeps the first node that reached it as its parent; the
+    label between them is the parent's first one leading to it."""
     if verifier.is_empty:
         return None
     violating = set(violating_ids(verifier, attack))
-    came_from = {verifier.initial_id: None}  # id -> (previous id, label)
-    queue = [verifier.initial_id]
+    labels, succ, start, kept, phase = (
+        verifier.labels, verifier.succ, verifier.start, verifier.kept, verifier.phase
+    )
+    root = verifier.initial_id
+    parent = {root: None}  # id -> the id it was first reached from
+    queue = [root]
     for i in queue:  # grows while it is walked: breadth first
         if i in violating:
-            path = []
-            while came_from[i] is not None:
-                i, label = came_from[i]
-                path.append(label)
-            return path[::-1]
-        for label, j in sorted(verifier.kept_targets(i)):
-            if j not in came_from:
-                came_from[j] = (i, label)
+            break
+        targets = succ[start[i]:start[i + 1]]
+        if phase[i] == PHASE_AWAIT:
+            targets.reverse()
+        for j in targets:
+            if kept[j] and j not in parent:
+                parent[j] = i
                 queue.append(j)
-    return None
+    else:
+        return None
+    path = []
+    while (p := parent[i]) is not None:
+        path.append(labels[p][succ.index(i, start[p], start[p + 1]) - start[p]])
+        i = p
+    return path[::-1]
 
 
 def check_violation(g: Nfa, attack: AttackSpec) -> tuple[bool, AttackObserver]:

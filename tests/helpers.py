@@ -5,9 +5,13 @@ with one index over whole node keys that ``build_attack_observer``
 replaced, the attractor over one need count per node that the per-phase
 rules of ``aobs.attractor`` replaced, the strategy synthesis that walks on
 past the first violation, and the reference strategy validation and play
-simulation that test the violating predicate on estimates."""
+simulation that test the violating predicate on estimates, the witness
+search over sorted transition pairs that the walk on the graph's lists
+replaced, and the nested natural sort key that the flat one of ``automata``
+replaced."""
 
 import random
+import re
 from collections import deque
 from itertools import accumulate
 
@@ -79,6 +83,20 @@ def ctr(text: str) -> GameCounter:
 
 def aob(phase: str, counter: str, members: str) -> AObsState:
     return AObsState(phase, ctr(counter), est(members))
+
+
+def nested_natural_key(value) -> tuple:
+    """The natural sort key as a tuple of 3-item parts, the form that
+    ``automata._natural_key``'s one flat tuple replaced: (0, number, "") for
+    a digit run, (1, 0, text) between runs, and (1, 0, the whole name). The
+    digit runs are the odd positions of the split."""
+    text = value if isinstance(value, str) else str(value)
+    key = tuple(
+        (0, int(part), "") if position % 2 else (1, 0, part)
+        for position, part in enumerate(re.split(r"(\d+)", text))
+        if part
+    )
+    return key + ((1, 0, text),)
 
 
 def chain_instance(length: int = 1200):
@@ -240,6 +258,30 @@ def need_list_attractor(graph: AttackObserver, targets, need: list) -> dict:
                     ranks[i] = rank
                     queue.append(i)
     return ranks
+
+
+def sorted_pairs_witness(verifier: AttackObserver, attack: AttackSpec) -> list | None:
+    """The shortest, then least, label sequence from the verifier's initial
+    node to a violating one, by a breadth-first search that sorts every
+    node's (label, target) pairs and keeps (parent, label) per node."""
+    if verifier.is_empty:
+        return None
+    violating = {i for i in verifier.ids if violation_predicate(verifier.state_of(i).estimate, attack)
+                 and verifier.phase[i] == PHASE_SYSTEM}
+    came_from = {verifier.initial_id: None}
+    queue = [verifier.initial_id]
+    for i in queue:
+        if i in violating:
+            path = []
+            while came_from[i] is not None:
+                i, label = came_from[i]
+                path.append(label)
+            return path[::-1]
+        for label, j in sorted(verifier.kept_targets(i)):
+            if j not in came_from:
+                came_from[j] = (i, label)
+                queue.append(j)
+    return None
 
 
 def _full_decision(fv, ranks, policy, reference, turn) -> str:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
-from helpers import est, ten_state_plant
+from helpers import corpus, est, nested_natural_key, ten_state_plant
 
 from stateattack import (
     Dfa,
@@ -20,6 +20,7 @@ from stateattack import (
     number_attack_model,
     observer,
 )
+from stateattack.automata import _natural_key
 
 
 @hs.composite
@@ -77,6 +78,100 @@ def reach_by_word(g, word):
 def test_automata_reject_undeclared_parts(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def _first_offending_edge(states, events, transitions) -> str:
+    """The message of the per-edge check: the first edge, in the order of
+    the transition set, with an undeclared endpoint or label."""
+    for edge in frozenset(map(tuple, transitions)):
+        src, label, dst = edge
+        if src not in states or dst not in states:
+            return f"unknown identifier: transition endpoint in {edge!r} is not a declared state"
+        if label not in events:
+            return f"unknown identifier: transition label in {edge!r} is not a declared event"
+    raise AssertionError("no offending edge")
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_undeclared_edges_are_named_as_the_per_edge_loop_names_them(seed):
+    """The set checks find that an edge is undeclared; the message names the
+    edge the per-edge loop meets first, among several bad ones."""
+    plant, _ = corpus(8)[seed]
+    rows = sorted(plant.transitions)
+    rows += [(rows[0][0], "z", rows[0][2]), ("ghost", rows[1][1], rows[1][2]), (rows[2][0], "a", "ghost")]
+    expected = _first_offending_edge(plant.states, plant.events, rows)
+    with pytest.raises(ValueError) as raised:
+        Nfa(plant.states, plant.events, rows, plant.initial)
+    assert str(raised.value) == expected
+
+
+def test_transition_rows_must_have_three_parts():
+    with pytest.raises(ValueError, match="each transition must be"):
+        Nfa(["x"], ["a"], [("x", "a")], ["x"])
+
+
+@pytest.mark.parametrize(
+    "call,args,index",
+    [
+        ("successors", ("1", "a"), "_index"),
+        ("image", (["1"], "a"), "_index"),
+        ("enabled", ("1",), "_index"),
+        ("moves", ("1",), "_out"),
+    ],
+)
+def test_plant_indexes_are_built_on_first_use(call, args, index):
+    """A play reads only ``moves``, whose per-source index is the cheaper one."""
+    g = ten_state_plant()
+    assert not {"_index", "_out"} & set(vars(g))
+    getattr(g, call)(*args)
+    assert {"_index", "_out"} & set(vars(g)) == {index}
+
+
+def test_plant_lookups_agree_with_an_eager_index_over_the_corpus():
+    for plant, _ in corpus():
+        succ: dict = {}
+        for src, label, dst in plant.transitions:
+            succ.setdefault((src, label), set()).add(dst)
+        for state in sorted(plant.states):
+            labels = {label for (src, label) in succ if src == state}
+            assert plant.enabled(state) == labels
+            assert plant.moves(state) == tuple(
+                (label, dst) for label in sorted(labels) for dst in sorted(succ[state, label], key=str)
+            )
+            for label in sorted(plant.events):
+                assert plant.successors(state, label) == succ.get((state, label), set())
+        members = sorted(plant.states)[::2]
+        for label in sorted(plant.events):
+            expected = set().union(*(succ.get((state, label), set()) for state in members))
+            assert plant.image(members, label) == expected
+
+
+# --- natural order -----------------------------------------------------------
+
+# Names built of digit runs (ASCII and Arabic-Indic, some with leading
+# zeros), letters and "\u00b2", which str.isdigit calls a digit but neither
+# int nor the digit-run split reads as one; and free text of the same.
+_NAME_PIECES = ["0", "00", "7", "007", "10", "\u0662", "\u0660\u0667", "1\u0662", "a", "b", "Z", "\u00b2", ""]
+_NAMES = hs.one_of(
+    hs.lists(hs.sampled_from(_NAME_PIECES), max_size=4).map("".join),
+    hs.text("0179ab\u0660\u0662\u00b2", max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hs.lists(_NAMES, min_size=2, max_size=8))
+def test_flat_natural_key_orders_as_the_nested_key(names):
+    for a in names:
+        for b in names:
+            assert (_natural_key(a) < _natural_key(b)) == (nested_natural_key(a) < nested_natural_key(b))
+            assert (_natural_key(a) == _natural_key(b)) == (a == b)
+
+
+def test_natural_key_reads_digit_runs_by_position():
+    names = ["x10", "x2", "\u00b2", "1\u00b2", "10", "\u0662", "1", "", "007", "7"]
+    assert sorted(names, key=_natural_key) == [
+        "1", "1\u00b2", "\u0662", "007", "7", "10", "", "x2", "x10", "\u00b2"
+    ]
 
 
 # --- state estimates ---------------------------------------------------------

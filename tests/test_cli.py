@@ -344,6 +344,26 @@ def test_state_names_with_reserved_characters_exit_2(capsys, tmp_path):
     assert captured.err.startswith("error: reserved character:") and captured.err.count("\n") == 1
 
 
+def test_state_names_with_non_decimal_digits_agree_with_the_oracle(capsys, tmp_path):
+    """str.isdigit calls "\u00b2" a digit, yet int cannot read it and the
+    natural sort key's digit-run split leaves it in a text part."""
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "states": ["\u00b2", "1\u00b2"],
+        "events": ["a"],
+        "initial": ["\u00b2", "1\u00b2"],
+        "transitions": [["\u00b2", "a", "1\u00b2"], ["1\u00b2", "a", "1\u00b2"]],
+    }))
+    inputs = ["--model", str(model), "--attacked", "\u00b2", "--budget", "1"]
+    code, out = run(capsys, "oracle", *inputs)
+    oracle = json.loads(out)
+    assert code == 0
+    for command, verdict in [("check-violation", "violation"), ("check-enforced", "enforced")]:
+        code, out = run(capsys, command, *inputs)
+        assert code == 0
+        assert json.loads(out)["verdict"] is oracle[verdict]
+
+
 @pytest.mark.parametrize(
     "flags",
     [

@@ -64,6 +64,42 @@ def test_parse_model_syntax_error():
         parse_spec(nested, ten_state_plant())
 
 
+_ROW_MESSAGE = "syntax error in model document: each transition must be [source, event, target]"
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("transitions", {"1": "a"}, "syntax error in model document: 'transitions' must be a list"),
+        ("transitions", "1a2", "syntax error in model document: 'transitions' must be a list"),
+        ("transitions", [["1", "a", "2"], "1a2"], _ROW_MESSAGE),
+        ("transitions", [["1", "a", "2"], {"1": "a"}], _ROW_MESSAGE),
+        ("transitions", [["1", "a"]], _ROW_MESSAGE),
+        ("transitions", [["1", "a", "2", "3"]], _ROW_MESSAGE),
+        ("transitions", [[]], _ROW_MESSAGE),
+        *[("transitions", [["1", "a", "2"], ["1", item, "2"]], _ROW_MESSAGE)
+          for item in (1, True, None, ["a"], {"a": 1})],
+        *[("states", ["1", item], "syntax error in model document: 'states' must be a list of strings")
+          for item in (1, True, None, ["a"], {"a": 1})],
+        ("events", "ab", "syntax error in model document: 'events' must be a list of strings"),
+        ("initial", [2], "syntax error in model document: 'initial' must be a list of strings"),
+    ],
+)
+def test_parse_model_rejects_malformed_shapes(key, value, message):
+    doc = json.loads(model_text())
+    doc[key] = value
+    with pytest.raises(InputError) as raised:
+        parse_model(json.dumps(doc))
+    assert str(raised.value) == message
+
+
+def test_parsed_plant_builds_its_indexes_on_first_use():
+    g = parse_model(model_text())
+    assert not {"_index", "_out"} & set(vars(g))
+    assert g.successors("1", "a") == {"2", "3"}
+    assert "_index" in vars(g)
+
+
 def test_parse_model_unknown_identifier():
     doc = json.loads(model_text())
     doc["transitions"].append(["1", "a", "99"])

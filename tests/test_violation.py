@@ -1,7 +1,7 @@
 """Violation analysis: the violating predicate, the backward closure, the
 verifier restriction, and the end-to-end verdict."""
 
-from helpers import ATTACK_24, aob, est
+from helpers import ATTACK_24, aob, chain_instance, corpus, est, sorted_pairs_witness
 
 from stateattack import (
     AttackSpec,
@@ -251,6 +251,15 @@ def test_witness_labels_fixture(plant, attack_24):
     assert labels is not None
     assert verifier.parent.run(labels) is not None
     assert violation_predicate(verifier.parent.run(labels).estimate, attack_24)
+
+
+def test_witness_labels_match_the_sorted_pairs_search():
+    instances = corpus() + [chain_instance(40)]
+    for plant, attack in instances:
+        for budget in range(3):
+            attack = AttackSpec(attack.attacked, budget, attack.secret)
+            _, verifier = check_violation(plant, attack)
+            assert witness_labels(verifier, attack) == sorted_pairs_witness(verifier, attack)
 
 
 def test_witness_labels_none_for_empty():
