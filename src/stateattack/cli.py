@@ -136,8 +136,8 @@ def _write(path: str, text: str) -> None:
 
 
 def _names(flag: str | None) -> list:
-    """The names in a comma-separated flag value."""
-    return [name.strip() for name in (flag or "").split(",") if name.strip()]
+    """The names in a comma-separated flag value, each taken verbatim."""
+    return [name for name in (flag or "").split(",") if name]
 
 
 def _load_inputs(args):

@@ -1,11 +1,13 @@
 """Ground-truth brute force operating directly on the plant: estimate
 filtering along attack traces, the trace-level violating-sequence predicate,
-and bounded searches for the two top-level verdicts. Built to be obviously
-correct rather than fast; every pipeline stage is cross-checked against it."""
+and the two top-level verdicts as a least and a greatest fixpoint on one
+explicit attack game. Built to be obviously correct rather than fast; every
+pipeline stage is cross-checked against it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterable, Sequence
 
 from .attackmodel import ATTACK_NO, ATTACK_YES, EPSILON, AttackSpec
@@ -137,161 +139,98 @@ def is_violating_attack_sequence(
     return False
 
 
+def _game(g: Nfa, attack: AttackSpec) -> list:
+    """The attack game on plant sets: every (phase, estimate, attacks used)
+    node reachable from ("A", initial, 0) with its successors, newest node
+    first. At "A" the intruder declines (to "S") or, while the budget lasts,
+    launches an attack (to "AY"); at "AY" the result keeps the attacked part
+    or the rest, whichever is nonempty; at "S" the system produces an event,
+    and each nonempty image is a new "A"."""
+    nonattacked = g.states - attack.attacked
+    events = sorted(g.events)
+    initial = ("A", frozenset(g.initial), 0)
+    game: dict = {initial: None}  # discovery order
+    frontier = [initial]
+    while frontier:
+        node = frontier.pop()
+        phase, members, used = node
+        if phase == "A":
+            succs = [("S", members, used)] + [("AY", members, used)] * (used < attack.budget)
+        elif phase == "AY":
+            parts = (members & attack.attacked, members & nonattacked)
+            succs = [("S", part, used + 1) for part in parts if part]
+        else:
+            succs = [("A", nxt, used) for nxt in (g.image(members, e) for e in events) if nxt]
+        game[node] = succs
+        for succ in succs:
+            if succ not in game:
+                game[succ] = None
+                frontier.append(succ)
+    return list(reversed(game.items()))
+
+
+def _won(game: list, attack: AttackSpec, horizon: int | None) -> set:
+    """The least fixpoint: the nodes from which the intruder forces a
+    violating estimate within ``horizon`` event rounds (None: any number).
+    An "A" node needs one won successor, an "AY" node every one, an "S" node
+    a violating estimate or one successor won in an earlier round. Every
+    round but the last wins a node, so a horizon of at least the node count
+    bounds nothing; then "S" nodes read the growing set, and one sweep may
+    chain rounds."""
+    bounded = horizon is not None and horizon < len(game)
+    won: set = set()
+    for _ in range(horizon + 1) if bounded else count():
+        earlier = frozenset(won) if bounded else won
+        size = len(won)
+        grew = True
+        while grew:
+            grew = False
+            for node, succs in game:
+                if node in won:
+                    continue
+                phase, members, _used = node
+                if phase == "A":
+                    good = not won.isdisjoint(succs)
+                elif phase == "AY":
+                    good = won.issuperset(succs)
+                else:
+                    good = _violating(attack, members) or not earlier.isdisjoint(succs)
+                if good:
+                    won.add(node)
+                    grew = True
+        if len(won) == size:
+            break
+    return won
+
+
 def oracle_check_violation(g: Nfa, attack: AttackSpec, horizon: int | None = None) -> bool:
     """Can an observation sequence of at most ``horizon`` events be paired
-    with attack decisions that pin the system down?
-
-    Level-by-level evaluation over (estimate, attacks used) decision points,
-    where level j means "achievable with at most j further events". Every
-    attack branches over all of its defined results; each result branch may
-    then continue with its own events. Every level that changes adds a
-    decision point, and the evaluation stops at the first level that does not,
-    so the default horizon, the number of decision points, gives the verdict
-    without any bound."""
+    with attack decisions that pin the system down? Every attack branches
+    over all of its defined results, and each result branch may then
+    continue with its own events: membership of the initial node in the
+    least fixpoint of the attack game, unbounded by default."""
     if horizon is not None and horizon < 1:
         raise ValueError("horizon must be at least 1")
     attack.validate_for(g)
-    attacked = attack.attacked
-    nonattacked = g.states - attacked
-    budget = attack.budget
-
-    def parts(members: frozenset) -> list:
-        return [p for p in (members & attacked, members & nonattacked) if p]
-
-    def images(members: frozenset) -> list:
-        out = []
-        for event in g.events:
-            nxt = g.image(members, event)
-            if nxt:
-                out.append(nxt)
-        return out
-
-    initial = (frozenset(g.initial), 0)
-    nodes = {initial}
-    frontier = [initial]
-    while frontier:
-        members, used = frontier.pop()
-        branches = [(members, used)]
-        if used < budget:
-            branches += [(part, used + 1) for part in parts(members)]
-        for branch_members, branch_used in branches:
-            for nxt in images(branch_members):
-                node = (nxt, branch_used)
-                if node not in nodes:
-                    nodes.add(node)
-                    frontier.append(node)
-
-    def finish_now(members: frozenset, used: int) -> bool:
-        if _violating(attack, members):
-            return True
-        return used < budget and all(_violating(attack, p) for p in parts(members))
-
-    level = {node: finish_now(*node) for node in nodes}
-    for _ in range(len(nodes) if horizon is None else horizon):
-        nxt_level = {}
-        changed = False
-        for node in nodes:
-            if level[node]:
-                nxt_level[node] = True
-                continue
-            members, used = node
-            value = any(level[(img, used)] for img in images(members))
-            if not value and used < budget:
-                branch_parts = parts(members)
-                value = all(
-                    _violating(attack, p)
-                    or any(level[(img, used + 1)] for img in images(p))
-                    for p in branch_parts
-                )
-            nxt_level[node] = value
-            changed = changed or value
-        level = nxt_level
-        if not changed:
-            break
-    return level[initial]
+    return ("A", frozenset(g.initial), 0) in _won(_game(g, attack), attack, horizon)
 
 
 def oracle_check_enforced(g: Nfa, attack: AttackSpec) -> bool:
     """Can the intruder keep a violation reachable no matter which enabled
     events the system produces and which results the attacks return?
 
-    AND-OR evaluation over (phase, estimate, attacks used) game nodes:
-    decision nodes take the best decision, result nodes and system nodes
-    must hold for every defined result / enabled event. The verdict is
-    membership of the initial node in the largest such self-sustaining set
-    of violation-reachable nodes."""
+    The greatest fixpoint inside the least one of ``oracle_check_violation``:
+    the initial node must stay in the largest set of violation-reachable
+    nodes where an "A" node keeps one successor inside, and an "S" or "AY"
+    node keeps every successor inside."""
     attack.validate_for(g)
-    nonattacked = g.states - attack.attacked
-    budget = attack.budget
-
-    # Reachable game nodes; phases: "A" decide, "AY" result pending, "S" system.
-    initial = ("A", frozenset(g.initial), 0)
-    nodes: set = set()
-    successors: dict = {}
-    frontier = [initial]
-    nodes.add(initial)
-    while frontier:
-        node = frontier.pop()
-        phase, members, used = node
-        succs: list = []
-        if phase == "A":
-            succs.append(("S", members, used))
-            if used < budget:
-                succs.append(("AY", members, used))
-        elif phase == "AY":
-            for part in (members & attack.attacked, members & nonattacked):
-                if part:
-                    succs.append(("S", part, used + 1))
-        else:
-            for event in sorted(g.events):
-                nxt = g.image(members, event)
-                if nxt:
-                    succs.append(("A", nxt, used))
-        successors[node] = succs
-        for succ in succs:
-            if succ not in nodes:
-                nodes.add(succ)
-                frontier.append(succ)
-
-    ordered = sorted(nodes, key=lambda n: (n[0], n[2], sorted(map(str, n[1]))))
-
-    # Violation-reachable nodes, smallest fixpoint: a launched attack keeps
-    # the course only when every defined result does.
-    reachable: set = set()
-    changed = True
-    while changed:
-        changed = False
-        for node in ordered:
-            if node in reachable:
-                continue
-            phase, members, used = node
-            if phase == "A":
-                good = any(succ in reachable for succ in successors[node])
-            elif phase == "AY":
-                good = all(succ in reachable for succ in successors[node])
-            else:
-                good = _violating(attack, members) or any(
-                    succ in reachable for succ in successors[node]
-                )
-            if good:
-                reachable.add(node)
-                changed = True
-
-    # Holdable nodes, largest fixpoint within the reachable ones: no system
-    # event and no attack result may expel the intruder.
-    hold = set(reachable)
-    removed = True
-    while removed:
-        removed = False
-        for node in ordered:
-            if node not in hold:
-                continue
-            phase, _members, _used = node
-            if phase == "A":
-                good = any(succ in hold for succ in successors[node])
-            else:
-                good = all(succ in hold for succ in successors[node])
-            if not good:
+    game = _game(g, attack)
+    hold = _won(game, attack, None)
+    shrank = True
+    while shrank:
+        shrank = False
+        for node, succs in game:
+            if node in hold and (hold.isdisjoint(succs) if node[0] == "A" else not hold.issuperset(succs)):
                 hold.discard(node)
-                removed = True
-    return initial in hold
+                shrank = True
+    return ("A", frozenset(g.initial), 0) in hold

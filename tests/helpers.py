@@ -7,12 +7,14 @@ rules of ``aobs.attractor`` replaced, the strategy synthesis that walks on
 past the first violation, and the reference strategy validation and play
 simulation that test the violating predicate on estimates, the witness
 search over sorted transition pairs that the walk on the graph's lists
-replaced, and the nested natural sort key that the flat one of ``automata``
-replaced."""
+replaced, the nested natural sort key that the flat one of ``automata``
+replaced, and a recursion that decides a bounded violation straight from
+its definition."""
 
 import random
 import re
 from collections import deque
+from functools import lru_cache
 from itertools import accumulate
 
 from stateattack import AttackSpec, Nfa
@@ -139,6 +141,35 @@ def random_instance(rng: random.Random):
 def corpus(count: int = 220, seed: int = MASTER_SEED) -> list:
     rng = random.Random(seed)
     return [random_instance(rng) for _ in range(count)]
+
+
+def forced_within(g: Nfa, attack: AttackSpec, horizon: int) -> bool:
+    """Can the intruder force a violating estimate within ``horizon`` events
+    from the plant's initial states? At a decision it declines, or attacks
+    while the budget lasts and then must win on every nonempty result; once
+    it has decided, the estimate is violating, or an event is left and some
+    event's nonempty image wins. Memoised on (phase, members, used, events
+    left)."""
+    nonattacked = g.states - attack.attacked
+
+    def violating(members: frozenset) -> bool:
+        return len(members) == 1 if attack.secret is None else members <= attack.secret
+
+    @lru_cache(maxsize=None)
+    def wins(phase: str, members: frozenset, used: int, left: int) -> bool:
+        if phase == "A":
+            return wins("S", members, used, left) or (
+                used < attack.budget and wins("AY", members, used, left)
+            )
+        if phase == "AY":
+            parts = (members & attack.attacked, members & nonattacked)
+            return all(wins("S", part, used + 1, left) for part in parts if part)
+        images = (g.image(members, event) for event in g.events)
+        return violating(members) or (
+            left > 0 and any(wins("A", image, used, left - 1) for image in images if image)
+        )
+
+    return wins("A", frozenset(g.initial), 0, horizon)
 
 
 def composed_attack_observer(g: Nfa, attack: AttackSpec) -> AttackObserver:

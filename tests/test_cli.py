@@ -365,6 +365,34 @@ def test_state_names_with_non_decimal_digits_agree_with_the_oracle(capsys, tmp_p
 
 
 @pytest.mark.parametrize(
+    "inline,document",
+    [
+        (["--attacked", " 1", "--budget", "1"], {"attacked_states": [" 1"], "budget": 1}),
+        (
+            ["--attacked", "", "--budget", "0", "--mode", "opacity", "--secret", " 1"],
+            {"attacked_states": [], "budget": 0, "mode": {"opacity": {"secret_states": [" 1"]}}},
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["check-violation", "synthesize", "oracle"])
+def test_inline_state_names_are_taken_verbatim(capsys, tmp_path, inline, document, command):
+    """States "1" and " 1": only " 1" moves on b. An inline name that lost
+    its blank would attack, or keep secret, the other state."""
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "states": ["1", " 1"],
+        "events": ["a", "b"],
+        "initial": ["1", " 1"],
+        "transitions": [["1", "a", "1"], [" 1", "a", " 1"], [" 1", "b", " 1"]],
+    }))
+    spec = tmp_path / "attack.json"
+    spec.write_text(json.dumps(document))
+    from_flags = run(capsys, command, "--model", str(model), *inline)
+    assert from_flags == run(capsys, command, "--model", str(model), "--spec", str(spec))
+    assert from_flags[0] == 0
+
+
+@pytest.mark.parametrize(
     "flags",
     [
         ["--spec", "attack-narrow.json", "--budget", "0"],

@@ -1,12 +1,12 @@
 """Direct-on-the-plant brute force: trace filtering, the trace-level
-violating-sequence predicate, and the two bounded searches, cross-checked
-against the observer pipeline."""
+violating-sequence predicate, and the two verdicts on the attack game,
+cross-checked against the observer pipeline and a bounded recursion."""
 
 import random
 
 import pytest
 
-from helpers import est, random_instance, ten_state_plant
+from helpers import est, forced_within, random_instance, ten_state_plant
 
 from stateattack import (
     AttackSpec,
@@ -19,7 +19,7 @@ from stateattack import (
     oracle_check_enforced,
     oracle_check_violation,
 )
-from stateattack.oracle import AttackRound, AttackTrace
+from stateattack.oracle import AttackRound, AttackTrace, _game
 
 
 def trace_of(*rounds) -> AttackTrace:
@@ -201,7 +201,7 @@ def test_literal_predicate_diverges_from_all_results_search():
     assert not oracle_check_violation(g, attack, len(verifier.parent.states))
 
 
-# --- bounded searches --------------------------------------------------------
+# --- the two verdicts --------------------------------------------------------
 
 
 def test_oracle_violation_fixture_verdicts():
@@ -235,3 +235,15 @@ def test_oracle_enforced_fixture_verdicts():
 def test_oracle_violation_horizon_default_is_unbounded(instances):
     for g, attack in instances:
         assert oracle_check_violation(g, attack) == oracle_check_violation(g, attack, 10_000)
+
+
+@pytest.mark.parametrize("budget", [0, 1, 2])
+def test_oracle_violation_at_short_horizons_matches_its_definition(instances, budget):
+    for g, attack in instances:
+        attack = AttackSpec(attack.attacked, budget, attack.secret)
+        verdicts = [oracle_check_violation(g, attack, horizon) for horizon in range(1, 7)]
+        assert verdicts == [forced_within(g, attack, horizon) for horizon in range(1, 7)]
+        nodes = len(_game(g, attack))
+        verdicts.append(oracle_check_violation(g, attack, nodes))
+        assert verdicts == sorted(verdicts)  # never falls as the horizon grows
+        assert verdicts[-1] == oracle_check_violation(g, attack)
