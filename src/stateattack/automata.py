@@ -39,13 +39,6 @@ def _natural_key(value) -> tuple:
     return tuple(key)
 
 
-def _play_order(move: tuple) -> tuple:
-    """Sort key of an (event, successor) move: the event, then the
-    successor's string."""
-    event, target = move
-    return event, str(target)
-
-
 @dataclass(frozen=True, order=True)
 class StateEstimate:
     """Nonempty set of plant states kept in a canonical order, so equal sets
@@ -80,7 +73,9 @@ class Nfa:
     """Nondeterministic finite automaton with a nonempty set of initial states.
 
     Immutable after construction; all derived automata in this package are
-    built by the free functions below rather than by mutation.
+    built by the free functions below rather than by mutation. The lookups
+    ``successors``, ``image``, ``enabled`` and ``moves`` all read one index
+    of ``transitions``, built on first use.
     """
 
     def __init__(
@@ -99,52 +94,37 @@ class Nfa:
         if not set(map(len, self.transitions)) <= {3}:
             raise ValueError("syntax error: each transition must be (source, label, target)")
         _check_declared(self, self.initial, self.transitions)
-        self._moves: dict = {}  # state -> its moves (see ``moves``), filled on lookup
-
-    @functools.cached_property
-    def _index(self) -> tuple:
-        """``(succ, enabled)``: the targets of each (state, label) and the
-        labels of each state, as frozensets, built in one pass on first use.
-        A verdict reads the plant only through ``transitions``."""
-        succ: dict = {}
-        enabled: dict = {}
-        for src, label, dst in self.transitions:
-            succ.setdefault((src, label), set()).add(dst)
-            enabled.setdefault(src, set()).add(label)
-        succ = {key: frozenset(value) for key, value in succ.items()}
-        return succ, {src: frozenset(labels) for src, labels in enabled.items()}
-
-    def successors(self, state: State, label: Label) -> frozenset:
-        return self._index[0].get((state, label), _EMPTY)
-
-    def image(self, states: Iterable[State], label: Label) -> frozenset:
-        succ = self._index[0]
-        out: set = set()
-        for state in states:
-            out |= succ.get((state, label), _EMPTY)
-        return frozenset(out)
-
-    def enabled(self, state: State) -> frozenset:
-        return self._index[1].get(state, _EMPTY)
 
     @functools.cached_property
     def _out(self) -> dict:
-        """State -> its (label, target) pairs: the index ``moves`` reads,
-        built in one pass on first use. It is cheaper than ``_index``, which
-        a play does not need."""
+        """State -> its (event, successor) pairs in play order: events sorted,
+        the successors of each by their strings. The plant's one index, built
+        on first use; a verdict reads the plant only through ``transitions``."""
         out: dict = {}
         for src, label, dst in self.transitions:
             out.setdefault(src, []).append((label, dst))
-        return out
+        return {src: tuple(sorted(pairs, key=lambda move: (move[0], str(move[1])))) for src, pairs in out.items()}
+
+    def successors(self, state: State, label: Label) -> frozenset:
+        return self.image((state,), label)
+
+    def image(self, states: Iterable[State], label: Label) -> frozenset:
+        out = self._out
+        found = set()
+        for state in states:
+            for event, dst in out.get(state, ()):
+                if event == label:
+                    found.add(dst)
+        return frozenset(found)
+
+    def enabled(self, state: State) -> frozenset:
+        return frozenset(event for event, _ in self._out.get(state, ()))
 
     def moves(self, state: State) -> tuple:
-        """The (event, successor) pairs of ``state``: events in sorted order,
-        the successors of each by their strings. Memoised, since a play draws
-        from the moves of every true state it passes, often more than once."""
-        moves = self._moves.get(state)
-        if moves is None:
-            moves = self._moves[state] = tuple(sorted(self._out.get(state, ()), key=_play_order))
-        return moves
+        """The (event, successor) pairs of ``state`` in play order: the
+        index's own tuple, since a play draws from the moves of every true
+        state it passes, often more than once."""
+        return self._out.get(state, ())
 
     def __repr__(self) -> str:
         return (

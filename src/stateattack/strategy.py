@@ -231,11 +231,11 @@ def validate_strategy(
 
     def moves(state: int):
         """(step, target) pairs below a system-move state in exploration
-        order; a step without a target is a move the strategy has no edge for."""
+        order; a step without a target is a move the strategy has no edge
+        for, and the search stops at it."""
         for event, turn in sorted(aobs.kept_targets(state)):
             if not edges.get((state, event)):
                 yield (event, None, None), None
-                return
             yield from edge_moves(state, event, turn)
 
     initial = strategy.initial_id

@@ -111,28 +111,37 @@ def test_transition_rows_must_have_three_parts():
 
 
 @pytest.mark.parametrize(
-    "call,args,index",
-    [
-        ("successors", ("1", "a"), "_index"),
-        ("image", (["1"], "a"), "_index"),
-        ("enabled", ("1",), "_index"),
-        ("moves", ("1",), "_out"),
-    ],
+    "call,args",
+    [("successors", ("1", "a")), ("image", (["1"], "a")), ("enabled", ("1",)), ("moves", ("1",))],
 )
-def test_plant_indexes_are_built_on_first_use(call, args, index):
-    """A play reads only ``moves``, whose per-source index is the cheaper one."""
+def test_plant_index_is_built_on_first_use(call, args):
+    """Every lookup reads the one per-source index ``_out``, and nothing else
+    is cached beside it."""
     g = ten_state_plant()
-    assert not {"_index", "_out"} & set(vars(g))
+    before = set(vars(g))
+    assert "_out" not in before
     getattr(g, call)(*args)
-    assert {"_index", "_out"} & set(vars(g)) == {index}
+    assert set(vars(g)) - before == {"_out"}
+    assert not {"_index", "_moves"} & set(vars(g))
+
+
+def _dead_end_plant() -> Nfa:
+    """A plant whose state "z" has no moves and whose ("x", "a") has two
+    successors."""
+    rows = [("x", "a", "z"), ("x", "a", "y"), ("x", "b", "x"), ("y", "b", "x")]
+    return Nfa(["x", "y", "z"], ["a", "b"], rows, ["x"])
 
 
 def test_plant_lookups_agree_with_an_eager_index_over_the_corpus():
-    for plant, _ in corpus():
+    """Also on a dead-end state, a (state, event) with several successors and
+    a name that is not a plant state, where every lookup is empty."""
+    stranger = "not a state"
+    for plant in [plant for plant, _ in corpus()] + [_dead_end_plant()]:
+        assert stranger not in plant.states
         succ: dict = {}
         for src, label, dst in plant.transitions:
             succ.setdefault((src, label), set()).add(dst)
-        for state in sorted(plant.states):
+        for state in sorted(plant.states) + [stranger]:
             labels = {label for (src, label) in succ if src == state}
             assert plant.enabled(state) == labels
             assert plant.moves(state) == tuple(
@@ -140,10 +149,14 @@ def test_plant_lookups_agree_with_an_eager_index_over_the_corpus():
             )
             for label in sorted(plant.events):
                 assert plant.successors(state, label) == succ.get((state, label), set())
-        members = sorted(plant.states)[::2]
+        members = sorted(plant.states)[::2] + [stranger]
         for label in sorted(plant.events):
             expected = set().union(*(succ.get((state, label), set()) for state in members))
             assert plant.image(members, label) == expected
+    plant = _dead_end_plant()
+    assert plant.moves("z") == () and plant.enabled("z") == set()
+    assert plant.successors("x", "a") == {"y", "z"}
+    assert plant.moves("x") == (("a", "y"), ("a", "z"), ("b", "x"))
 
 
 # --- natural order -----------------------------------------------------------

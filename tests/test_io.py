@@ -94,10 +94,13 @@ def test_parse_model_rejects_malformed_shapes(key, value, message):
 
 
 def test_parsed_plant_builds_its_indexes_on_first_use():
+    """Parsing builds no index; the first lookup builds the one index
+    ``_out``, which serves the others too."""
     g = parse_model(model_text())
-    assert not {"_index", "_out"} & set(vars(g))
+    assert not {"_index", "_moves", "_out"} & set(vars(g))
     assert g.successors("1", "a") == {"2", "3"}
-    assert "_index" in vars(g)
+    assert "_out" in vars(g) and not {"_index", "_moves"} & set(vars(g))
+    assert g.moves("1") is g.moves("1")
 
 
 def test_parse_model_unknown_identifier():
