@@ -1,6 +1,6 @@
-"""Finite-automaton core: NFA/DFA containers, the subset-construction
-observer, synchronous composition, and the classic (attack-free)
-current-state anonymity and opacity checks."""
+"""Finite-automaton core: NFA/DFA containers, synchronous composition, and the
+references that the attack game at budget 0 is tested against: the
+subset-construction observer and the classic anonymity and opacity checks."""
 
 from __future__ import annotations
 
@@ -52,9 +52,6 @@ class StateEstimate:
             raise ValueError("a state estimate must be nonempty")
         object.__setattr__(self, "members", canon)
 
-    def __contains__(self, state) -> bool:
-        return state in self.members
-
     def __iter__(self) -> Iterator[str]:
         return iter(self.members)
 
@@ -74,8 +71,8 @@ class Nfa:
 
     Immutable after construction; all derived automata in this package are
     built by the free functions below rather than by mutation. The lookups
-    ``successors``, ``image``, ``enabled`` and ``moves`` all read one index
-    of ``transitions``, built on first use.
+    ``successors``, ``image`` and ``moves`` all read one index of
+    ``transitions``, built on first use.
     """
 
     def __init__(
@@ -116,9 +113,6 @@ class Nfa:
                 if event == label:
                     found.add(dst)
         return frozenset(found)
-
-    def enabled(self, state: State) -> frozenset:
-        return frozenset(event for event, _ in self._out.get(state, ()))
 
     def moves(self, state: State) -> tuple:
         """The (event, successor) pairs of ``state`` in play order: the

@@ -23,8 +23,8 @@ import sys
 from pathlib import Path
 
 from .aobs import build_attack_observer
-from .attackmodel import AttackSpec
-from .automata import Nfa, check_anonymity_classic, check_opacity_classic, observer
+from .attackmodel import ATTACK_NO, PHASE_SYSTEM, AttackSpec
+from .automata import Nfa
 from .enforcement import check_enforced
 from .oracle import oracle_check_enforced, oracle_check_violation
 from .serialize import (
@@ -48,9 +48,10 @@ from .strategy import (
     synthesize_strategy,
     validate_strategy,
 )
-from .violation import check_violation, witness_labels
+from .violation import check_violation, violating_ids, witness_labels
 
 STAGES = ("model", "observer", "aobs", "verifier", "final-verifier", "strategy")
+_NO_ATTACK = AttackSpec(frozenset(), 0)  # the attack game of the attack-free commands
 
 # Every flag, once: its option string and the keyword arguments of add_argument.
 FLAGS = {
@@ -197,7 +198,7 @@ def _stage(stage: str, model: Nfa, attack: AttackSpec, args):
     if stage == "model":
         return model, "plant"
     if stage == "observer":
-        return observer(model), "observer"
+        return _observer(model), "observer"
     if stage == "aobs":
         return build_attack_observer(model, attack), "attack_observer"
     if stage == "verifier":
@@ -206,6 +207,18 @@ def _stage(stage: str, model: Nfa, attack: AttackSpec, args):
     if stage == "final-verifier":
         return fv, "final_verifier"
     return (synthesize_strategy(fv, fv.parent, args.policy) if enforced else fv), "strategy"
+
+
+def _observer(model: Nfa) -> tuple:
+    """Sorted DOT node and edge rows of the plant observer, read off the attack game with no attack:
+    its system nodes are the estimates, and an event's edge ends at its decision node's one child."""
+    game = build_attack_observer(model, _NO_ATTACK)
+    names = {i: "{" + ",".join(game.members_of(i)) + "}" for i in game.ids if game.phase[i] == PHASE_SYSTEM}
+    initial = game.target(game.initial_id, ATTACK_NO)
+    nodes = sorted((text, "peripheries=2" if i == initial else "") for i, text in names.items())
+    rows = ((text, label, j) for i, text in names.items() for label, j in game.kept_targets(i))
+    edges = sorted((text, label, names[game.target(j, ATTACK_NO)]) for text, label, j in rows)
+    return nodes, edges
 
 
 def main(argv=None) -> int:
@@ -243,19 +256,18 @@ def _report(command: str, model: Nfa, attack: AttackSpec, args):
     tests (a violated property, or an enforced attack), and the artifact
     ``_emit`` may write: the graph and DOT name of the command's stage, or ()."""
     if command == "observer":
-        obs, name = _stage("observer", model, attack, args)
-        report = {
-            "observer_states": len(obs.states),
-            "observer_transitions": len(obs.transitions),
-            "states": [str(q) for q in sorted(obs.states)],
-        }
-        return report, False, (obs, name)
+        (nodes, edges), name = _stage("observer", model, attack, args)
+        # ``StateEstimate`` order: a name splits into its members, as no state name holds ',', '{' or '}'.
+        states = sorted((text for text, _ in nodes), key=lambda text: text[1:-1].split(","))
+        report = {"observer_states": len(nodes), "observer_transitions": len(edges), "states": states}
+        return report, False, ((nodes, edges), name)
 
-    if command == "check-classic":
+    if command == "check-classic":  # violations of the attack game with no attack
+        game = build_attack_observer(model, _NO_ATTACK)
         report = {}
-        holds = report["anonymous"] = check_anonymity_classic(model)
+        holds = report["anonymous"] = not violating_ids(game, _NO_ATTACK)
         if attack.secret is not None:
-            holds = report["opaque"] = check_opacity_classic(model, attack.secret)
+            holds = report["opaque"] = not violating_ids(game, attack)
         return report, not holds, ()
 
     if command == "build-aobs":

@@ -1,6 +1,6 @@
 """File formats and exports: JSON documents for plant models and attack
 descriptions, a JSON form for synthesized strategies, and deterministic DOT
-renderings of every structure the pipeline builds."""
+renderings of the plant and of every graph the pipeline builds."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from itertools import chain
 
 from .aobs import AttackObserver
 from .attackmodel import PHASE_AWAIT, PHASE_DECIDE, PHASE_SYSTEM, AttackSpec, check_plant_events
-from .automata import Dfa, Nfa, _natural_key
+from .automata import Nfa, _natural_key
 from .strategy import MealyStrategy
 
 
@@ -183,9 +183,9 @@ _BOXES = ("  rankdir=LR;", "  node [shape=box style=filled fillcolor=white];")
 
 
 def export_dot(obj, name: str = "automaton") -> str:
-    """Deterministic DOT text for any constructed structure. Attack-observer
-    states are colored by type (system-move red, result-wait blue, decision
-    green); strategy edges are labeled input/output."""
+    """Deterministic DOT text of a plant, an attack-game graph, a strategy or a
+    (nodes, edges) pair of boxed rows. Game states are colored by phase (system
+    red, result-wait blue, decision green); strategy edges read input/output."""
     if isinstance(obj, Nfa):
         nodes = [
             (str(state), "shape=doublecircle" if state in obj.initial else "shape=circle")
@@ -193,14 +193,8 @@ def export_dot(obj, name: str = "automaton") -> str:
         ]
         edges = sorted((str(src), label, str(dst)) for src, label, dst in obj.transitions)
         return _dot(name, ("  rankdir=LR;",), nodes, edges)
-    if isinstance(obj, Dfa):
-        nodes = [
-            (str(state), "peripheries=2" if state == obj.initial else "")
-            for state in sorted(obj.states, key=str)
-        ]
-        rows = [(str(src), str(label), str(dst)) for (src, label), dst in obj.transitions.items()]
-        edges = sorted(rows)
-        return _dot(name, _BOXES, nodes, edges)
+    if isinstance(obj, tuple):  # (nodes, edges) rows, as ``_dot`` takes them
+        return _dot(name, _BOXES, *obj)
     if isinstance(obj, MealyStrategy):
         graph, names = obj.graph, obj.names()
         rows = obj.id_edge_list(names)

@@ -8,8 +8,9 @@ past the first violation, and the reference strategy validation and play
 simulation that test the violating predicate on estimates, the witness
 search over sorted transition pairs that the walk on the graph's lists
 replaced, the nested natural sort key that the flat one of ``automata``
-replaced, and a recursion that decides a bounded violation straight from
-its definition."""
+replaced, the DOT writer for a ``Dfa`` that ``export_dot`` dropped when the
+plant observer came to be read off the attack game, and a recursion that
+decides a bounded violation straight from its definition."""
 
 import random
 import re
@@ -33,7 +34,8 @@ from stateattack.attackmodel import (
     bounded_game_structure,
     system_attack_model,
 )
-from stateattack.automata import StateEstimate, _natural_key, compose, observer
+from stateattack.automata import Dfa, StateEstimate, _natural_key, compose, observer
+from stateattack.serialize import _BOXES, _dot
 from stateattack.strategy import (
     FIRST_VALID,
     INFINITE_RANK,
@@ -85,6 +87,18 @@ def ctr(text: str) -> GameCounter:
 
 def aob(phase: str, counter: str, members: str) -> AObsState:
     return AObsState(phase, ctr(counter), est(members))
+
+
+def dfa_dot(obs: Dfa, name: str) -> str:
+    """The DOT text ``export_dot`` wrote for a ``Dfa`` such as the
+    subset-construction observer: boxed nodes sorted by name, the initial
+    one drawn twice, and edges sorted as name triples."""
+    nodes = [
+        (str(state), "peripheries=2" if state == obs.initial else "")
+        for state in sorted(obs.states, key=str)
+    ]
+    edges = sorted((str(src), str(label), str(dst)) for (src, label), dst in obs.transitions.items())
+    return _dot(name, _BOXES, nodes, edges)
 
 
 def nested_natural_key(value) -> tuple:
@@ -479,9 +493,10 @@ def reference_play(g: Nfa, strategy: MealyStrategy, system_policy, max_rounds: i
     while len(rounds) < max_rounds:
         if violation_predicate(state_of(current).estimate, attack):
             return PlayTrace(tuple(rounds), "violated")
+        enabled = {event for src, event, _ in g.transitions if src == true_state}
         moves = [
             (event, target)
-            for event in sorted(g.enabled(true_state))
+            for event in sorted(enabled)
             for target in sorted(g.successors(true_state, event), key=str)
         ]
         if not moves:

@@ -10,9 +10,11 @@ from hypothesis import strategies as hs
 from helpers import corpus, est, nested_natural_key, ten_state_plant
 
 from stateattack import (
+    AttackSpec,
     Dfa,
     Nfa,
     StateEstimate,
+    build_attack_observer,
     check_anonymity_classic,
     check_opacity_classic,
     compose,
@@ -21,6 +23,7 @@ from stateattack import (
     observer,
 )
 from stateattack.automata import _natural_key
+from stateattack.violation import violating_ids
 
 
 @hs.composite
@@ -112,7 +115,7 @@ def test_transition_rows_must_have_three_parts():
 
 @pytest.mark.parametrize(
     "call,args",
-    [("successors", ("1", "a")), ("image", (["1"], "a")), ("enabled", ("1",)), ("moves", ("1",))],
+    [("successors", ("1", "a")), ("image", (["1"], "a")), ("moves", ("1",))],
 )
 def test_plant_index_is_built_on_first_use(call, args):
     """Every lookup reads the one per-source index ``_out``, and nothing else
@@ -143,7 +146,6 @@ def test_plant_lookups_agree_with_an_eager_index_over_the_corpus():
             succ.setdefault((src, label), set()).add(dst)
         for state in sorted(plant.states) + [stranger]:
             labels = {label for (src, label) in succ if src == state}
-            assert plant.enabled(state) == labels
             assert plant.moves(state) == tuple(
                 (label, dst) for label in sorted(labels) for dst in sorted(succ[state, label], key=str)
             )
@@ -154,7 +156,7 @@ def test_plant_lookups_agree_with_an_eager_index_over_the_corpus():
             expected = set().union(*(succ.get((state, label), set()) for state in members))
             assert plant.image(members, label) == expected
     plant = _dead_end_plant()
-    assert plant.moves("z") == () and plant.enabled("z") == set()
+    assert plant.moves("z") == ()
     assert plant.successors("x", "a") == {"y", "z"}
     assert plant.moves("x") == (("a", "y"), ("a", "z"), ("b", "x"))
 
@@ -349,7 +351,10 @@ def test_classic_opacity_requires_proper_subset():
 @given(small_nfas(max_states=6))
 def test_classic_checks_match_direct_definition(g):
     # Exhaustive word enumeration is complete once words are as long as the
-    # observer has states; keep instances where that is tractable.
+    # observer has states; keep instances where that is tractable. The
+    # attack game at budget 0, which the command line reads both properties
+    # from, is checked beside the classic checks: a property holds when the
+    # game has no violating node.
     obs = observer(g)
     assume(len(obs.states) <= 6)
     singleton_found = False
@@ -363,6 +368,10 @@ def test_classic_checks_match_direct_definition(g):
                 singleton_found = True
             if reached and not (reached & nonsecret):
                 hidden_found = True
+    no_attack = AttackSpec(frozenset(), 0)
+    game = build_attack_observer(g, no_attack)
     assert check_anonymity_classic(g) == (not singleton_found)
+    assert (not violating_ids(game, no_attack)) == (not singleton_found)
     if secret != g.states:
         assert check_opacity_classic(g, secret) == (not hidden_found)
+        assert (not violating_ids(game, AttackSpec(frozenset(), 0, secret))) == (not hidden_found)

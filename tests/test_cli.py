@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -14,10 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from helpers import TEN_STATE_TRANSITIONS
+from helpers import MASTER_SEED, TEN_STATE_TRANSITIONS, corpus, dfa_dot
 
 import stateattack
-from stateattack.cli import STAGES, build_parser, main
+from stateattack.automata import check_anonymity_classic, check_opacity_classic, observer
+from stateattack.cli import STAGES, _dispatch, build_parser, main
+from stateattack.serialize import parse_model, serialize_model
 
 
 @pytest.fixture()
@@ -65,6 +68,53 @@ def test_check_classic_report(capsys, model_path):
     assert code == 0
     assert report["anonymous"] is True
     assert report["opaque"] is False
+
+
+def test_attack_free_commands_equal_the_reference_constructions(capsys, tmp_path):
+    """``observer``, ``check-classic`` and the observer stage read the attack
+    game at budget 0. Over the corpus and the sample they print what the
+    subset-construction observer and the classic checks give: the report
+    lists the estimates in ``StateEstimate`` order, and both DOT texts are
+    the ``Dfa`` writer's. Some plant's estimates sort otherwise by name, as
+    {1} sorts before {1,2} but prints after it. The commands run as ``main``
+    runs them, on one parser."""
+    parser = build_parser()
+
+    def cli(*argv):
+        code = _dispatch(parser.parse_args(argv))
+        return code, capsys.readouterr().out
+
+    rng = random.Random(MASTER_SEED)
+    model, dot_path = tmp_path / "model.json", tmp_path / "observer.dot"
+    plants = [plant for plant, _ in corpus()] + [parse_model((SAMPLES / "model.json").read_text())]
+    reordered = 0
+    for plant in plants:
+        model.write_text(serialize_model(plant))
+        obs = observer(plant)
+        states = [str(estimate) for estimate in sorted(obs.states)]
+        reordered += states != sorted(states)
+        expected = {
+            "command": "observer",
+            "observer_states": len(obs.states),
+            "observer_transitions": len(obs.transitions),
+            "states": states,
+        }
+        code, out = cli("observer", "--model", str(model), "--format", "dot", "--out", str(dot_path))
+        assert (code, json.loads(out)) == (0, expected)
+        assert dot_path.read_text(encoding="utf-8") == dfa_dot(obs, "observer")
+        stage = ["export-dot", "--stage", "observer", "--model", str(model), "--attacked", "", "--budget", "0"]
+        assert cli(*stage) == (0, dfa_dot(obs, "observer"))
+        code, out = cli("check-classic", "--model", str(model))
+        anonymous = check_anonymity_classic(plant)
+        assert (code, json.loads(out)) == (0, {"command": "check-classic", "anonymous": anonymous})
+        names = sorted(plant.states)
+        for _ in range(3):
+            secret = rng.sample(names, rng.randint(0, len(names) - 1))
+            argv = ["check-classic", "--model", str(model), "--mode", "opacity", "--secret", ",".join(secret)]
+            report = json.loads(cli(*argv)[1])
+            assert report["anonymous"] == anonymous
+            assert report["opaque"] == check_opacity_classic(plant, secret)
+    assert reordered
 
 
 def test_check_violation_report(capsys, model_path, spec_path):

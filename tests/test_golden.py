@@ -16,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from stateattack import automata, cli
 from stateattack.aobs import AObsState
+from stateattack.automata import StateEstimate
 from stateattack.cli import STAGES, main
 
 ROOT = Path(__file__).parent.parent
@@ -81,17 +83,44 @@ def test_report_matches_golden(case):
 
 @pytest.mark.parametrize("case", sorted(c for c in CASES if not c.startswith("simulate-")))
 def test_report_makes_no_state_objects(case, monkeypatch):
-    """Only a play needs ``AObsState`` objects (its rounds' estimates); every
-    other report and DOT file is written from the node ids."""
+    """Only a play needs ``AObsState`` or ``StateEstimate`` objects (its
+    rounds' estimates); every other report and DOT file, the plant
+    observer's and the attack-free checks' among them, is written from the
+    node ids."""
     made = []
 
     def counting(self, *args, _init=AObsState.__init__, **kwargs):
         made.append(self)
         _init(self, *args, **kwargs)
 
+    def counting_estimate(self, _post_init=StateEstimate.__post_init__):
+        made.append(self)
+        _post_init(self)
+
     monkeypatch.setattr(AObsState, "__init__", counting)
+    monkeypatch.setattr(StateEstimate, "__post_init__", counting_estimate)
     produce(*CASES[case])
     assert len(made) == 0
+
+
+def test_attack_free_checks_build_one_game(monkeypatch):
+    """``check-classic`` reads anonymity and opacity off one attack game and
+    never builds the subset-construction observer."""
+    built = []
+
+    def counting(*args, _build=cli.build_attack_observer):
+        built.append(args)
+        return _build(*args)
+
+    def forbidden(*args):
+        raise AssertionError("automata.observer called")
+
+    monkeypatch.setattr(cli, "build_attack_observer", counting)
+    monkeypatch.setattr(automata, "observer", forbidden)
+    model = str(ROOT / "samples" / "model.json")
+    argv = ["check-classic", "--model", model, "--mode", "opacity", "--secret", "7,8"]
+    assert produce(argv, "json") == ("json", (GOLDEN / "check-classic-opacity.json").read_text())
+    assert len(built) == 1
 
 
 def write_all() -> None:

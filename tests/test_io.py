@@ -18,7 +18,6 @@ from stateattack import (
     check_opacity_classic,
     check_violation,
     export_dot,
-    observer,
     oracle_check_enforced,
     oracle_check_violation,
     parse_model,
@@ -28,6 +27,7 @@ from stateattack import (
     serialize_strategy,
     synthesize_strategy,
 )
+from stateattack.cli import main
 from stateattack.serialize import strategy_edge_rows
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -359,9 +359,13 @@ def test_strategy_json_of_a_strategy_without_edges():
     assert '"edges": [],' in text
 
 
-def test_observer_dot_renders_estimates():
-    dot = export_dot(observer(ten_state_plant()), "observer")
-    assert '"{1,10}"' in dot and '"{7,8}"' in dot
+def test_observer_dot_renders_estimates(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(model_text())
+    argv = ["export-dot", "--stage", "observer", "--model", str(model), "--attacked", "", "--budget", "0"]
+    assert main(argv) == 0
+    dot = capsys.readouterr().out
+    assert '"{1,10}" [peripheries=2];' in dot and '"{7,8}";' in dot
 
 
 def test_exports_are_deterministic():
