@@ -35,6 +35,7 @@ from .attackmodel import (
     ATTACK_NO,
     ATTACK_YES,
     RESULT_IN,
+    RESULT_LABELS,
     RESULT_OUT,
     AttackSpec,
     GameCounter,
@@ -48,7 +49,7 @@ _REACHED = bytes([0, 0, 1]) + bytes(253)  # ``restrict_ids``' marks -> kept flag
 _counter = functools.cache(GameCounter)  # (count, tag) -> its one GameCounter, in every graph
 # The label tuples of decision and result-wait nodes.
 _NO_AND_YES, _NO_ONLY = (ATTACK_NO, ATTACK_YES), (ATTACK_NO,)
-_IN_AND_OUT, _IN_ONLY, _OUT_ONLY = (RESULT_IN, RESULT_OUT), (RESULT_IN,), (RESULT_OUT,)
+_IN_ONLY, _OUT_ONLY = (RESULT_IN,), (RESULT_OUT,)
 
 
 @dataclass(frozen=True, order=True)
@@ -74,8 +75,8 @@ class AttackObserver:
     Node ``i`` has the phase ``phase[i]``, the counter ``count[i]`` with tag
     ``tag[i]``, and the estimate ``mask[i]``, whose bit b is the plant state
     ``order[b]``. Its outgoing transitions lead to the ids
-    ``succ[start[i]:start[i + 1]]``, labelled by the tuple ``labels[i]`` in
-    the same order; label tuples are shared between nodes. The verdict
+    ``succ[start[i]:start[i + 1]]``, labelled in turn by ``labels[i]``, a
+    tuple in label order; label tuples are shared between nodes. The verdict
     algorithms run on these lists. ``AObsState`` objects, with their
     ``GameCounter`` and ``StateEstimate``, are made only when a caller asks
     for the state-level view (``states``, ``transitions``, ``initial``,
@@ -369,7 +370,7 @@ def build_attack_observer(g: Nfa, attack: AttackSpec) -> AttackObserver:
             elif not inside:
                 out_labels, parts = _OUT_ONLY, (outside,)
             else:
-                out_labels, parts = _IN_AND_OUT, (inside, outside)
+                out_labels, parts = RESULT_LABELS, (outside, inside)
         else:
             p, layers = PHASE_DECIDE, decisions
             moves = system_moves.get(m)

@@ -144,7 +144,8 @@ def _names(flag: str | None) -> list:
 def _load_inputs(args):
     """The plant, and the attack the command reads: none for ``observer``.
     ``check-classic`` reads only the secret set and takes no --attacked or
-    --budget, so its inline attack attacks nothing with budget 0."""
+    --budget, so its inline attack attacks nothing with budget 0. The
+    attack-free ``export-dot`` stages default --budget to 0 the same way."""
     model = parse_model(_read(args.model))
     if "spec" not in args:
         return model, None
@@ -157,7 +158,7 @@ def _load_inputs(args):
         return model, parse_spec(_read(args.spec), model)
     if args.secret is not None and args.mode != "opacity":
         raise InputError("conflicting attack flags: --secret needs --mode opacity")
-    if budget is None and "budget" in args:
+    if budget is None and "budget" in args and vars(args).get("stage") not in ("model", "observer"):
         raise InputError("either --spec or --attacked/--budget is required")
     document = {"attacked_states": _names(attacked), "budget": budget or 0}
     if args.mode == "opacity":

@@ -15,7 +15,7 @@ from .attackmodel import (
     ATTACK_NO, ATTACK_YES, EPSILON, PHASE_AWAIT, PHASE_DECIDE, PHASE_SYSTEM, RESULT_LABELS, AttackSpec,
 )
 from .automata import Nfa, StateEstimate
-from .violation import mask_violates, violating_ids
+from .violation import violating_ids
 
 RANKED = "ranked"
 FIRST_VALID = "first-valid"
@@ -183,7 +183,7 @@ def synthesize_strategy(
 
     add_edges(initial, EPSILON, initial)
     for i in queue:  # grows while it is walked: breadth first
-        for event in sorted(label for label, _ in aobs.kept_targets(i)):
+        for event, _ in aobs.kept_targets(i):
             add_edges(i, event, fv.target(i, event))
 
     return MealyStrategy(
@@ -213,7 +213,7 @@ def validate_strategy(
     edges = strategy.id_edges
     if not strategy.ids or not edges:
         raise ValueError("cannot validate an empty strategy")
-    violates, mask = mask_violates(aobs, attack), aobs.mask
+    violating = set(violating_ids(aobs, attack))
 
     def edge_moves(source: int, event: str, turn: int):
         """(step, target) pairs of the edge for ``event`` at ``source``, decided
@@ -233,7 +233,7 @@ def validate_strategy(
         """(step, target) pairs below a system-move state in exploration
         order; a step without a target is a move the strategy has no edge
         for, and the search stops at it."""
-        for event, turn in sorted(aobs.kept_targets(state)):
+        for event, turn in aobs.kept_targets(state):
             if not edges.get((state, event)):
                 yield (event, None, None), None
             yield from edge_moves(state, event, turn)
@@ -263,7 +263,7 @@ def validate_strategy(
             if target is None:
                 missing = "enabled event" if step[1] is None else "attack result"
                 return StrategyReport(False, None, tuple(prefix), f"no edge for {missing}")
-            if violates(mask[target]):
+            if target in violating:
                 below = 0
             elif target in memo:
                 below = memo[target]
@@ -315,7 +315,7 @@ def simulate_play(
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     graph, edges, ranks = strategy.graph, strategy.id_edges, strategy.id_ranks
-    violates, mask = mask_violates(graph, strategy.attack), graph.mask
+    violating = set(violating_ids(graph, strategy.attack))
     attacked = strategy.attack.attacked
     rng = random.Random(system_policy.seed) if isinstance(system_policy, RandomSeeded) else None
 
@@ -350,7 +350,7 @@ def simulate_play(
     decision, result, current = advance(initial, EPSILON, true_state)
     rounds.append(PlayRound(EPSILON, decision, result, graph.state_of(current).estimate, true_state))
 
-    while not violates(mask[current]):
+    while current not in violating:
         if len(rounds) >= max_rounds:
             return PlayTrace(tuple(rounds), "exhausted")
         moves = g.moves(true_state)

@@ -5,8 +5,6 @@ work on node ids and make no ``AObsState``."""
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .aobs import AttackObserver, attractor, build_attack_observer
 from .attackmodel import PHASE_AWAIT, PHASE_DECIDE, PHASE_SYSTEM, AttackSpec
 from .automata import Nfa, StateEstimate
@@ -23,29 +21,15 @@ def violation_predicate(estimate: StateEstimate, attack: AttackSpec) -> bool:
     return estimate.issubset(attack.secret)
 
 
-def _violation_masks(graph: AttackObserver, attack: AttackSpec) -> tuple:
-    """``violation_predicate`` on the estimate masks of ``graph``, as the
-    pair (single, outside) for which a mask ``m`` violates exactly when
-    ``m & (m - 1 & single | outside) == 0``: one set bit in anonymity mode
-    (single = -1, outside = 0), no bit outside the secret set in opacity
-    mode (single = 0, outside = the bits of the other plant states)."""
-    if attack.secret is None:
-        return -1, 0
-    return 0, ~graph.mask_of(attack.secret)
-
-
-def mask_violates(graph: AttackObserver, attack: AttackSpec) -> Callable[[int], bool]:
-    """``violation_predicate`` as a test on the estimate masks of ``graph``."""
-    single, outside = _violation_masks(graph, attack)
-    return lambda m: not m & (m - 1 & single | outside)
-
-
 def violating_ids(graph: AttackObserver, attack: AttackSpec) -> list:
-    """The kept system-move nodes whose estimate mask violates, in id order.
-    The full graph is scanned once per violation rule and keeps the list
-    beside its predecessor index; a restriction takes the ids it keeps."""
+    """The kept system-move nodes whose estimate violates, in id order: the
+    one test of ``violation_predicate`` on masks. A mask ``m`` violates when
+    ``m & (m - 1 & single | outside) == 0``: single = -1, outside = 0 in
+    anonymity mode; single = 0, outside = the non-secret bits in opacity
+    mode. The full graph keeps the list per (single, outside) pair, scanned
+    once; a restriction takes the ids it keeps."""
     base = graph.parent
-    key = single, outside = _violation_masks(graph, attack)
+    key = single, outside = (-1, 0) if attack.secret is None else (0, ~graph.mask_of(attack.secret))
     found = base._violating.get(key)
     if found is None:
         phase, mask = base.phase, base.mask
@@ -83,26 +67,20 @@ def witness_labels(verifier: AttackObserver, attack: AttackSpec) -> list | None:
     violating estimate, the least in label order among the shortest, or None
     when the verifier is empty.
 
-    The search walks the graph's lists. Every node's labels are in label
-    order but a result-wait node's ("1", "0"), so its targets are taken in
-    reverse. A node keeps the first node that reached it as its parent; the
-    label between them is the parent's first one leading to it."""
+    The search walks the graph's lists, whose labels are in label order at
+    every node. A node keeps the first node that reached it as its parent;
+    the label between them is the parent's first one leading to it."""
     if verifier.is_empty:
         return None
     violating = set(violating_ids(verifier, attack))
-    labels, succ, start, kept, phase = (
-        verifier.labels, verifier.succ, verifier.start, verifier.kept, verifier.phase
-    )
+    labels, succ, start, kept = verifier.labels, verifier.succ, verifier.start, verifier.kept
     root = verifier.initial_id
     parent = {root: None}  # id -> the id it was first reached from
     queue = [root]
     for i in queue:  # grows while it is walked: breadth first
         if i in violating:
             break
-        targets = succ[start[i]:start[i + 1]]
-        if phase[i] == PHASE_AWAIT:
-            targets.reverse()
-        for j in targets:
+        for j in succ[start[i]:start[i + 1]]:
             if kept[j] and j not in parent:
                 parent[j] = i
                 queue.append(j)

@@ -243,8 +243,8 @@ def worklist_attack_observer(g: Nfa, attack: AttackSpec) -> AttackObserver:
                 moves.append((ATTACK_YES, (PHASE_AWAIT, count, "Y", mask)))
         elif phase == PHASE_AWAIT:
             moves = [
-                (RESULT_IN, (PHASE_SYSTEM, count + 1, "", mask & attacked)),
                 (RESULT_OUT, (PHASE_SYSTEM, count + 1, "", mask & ~attacked)),
+                (RESULT_IN, (PHASE_SYSTEM, count + 1, "", mask & attacked)),
             ]
         else:
             image = images.get(mask)

@@ -95,6 +95,20 @@ def test_builder_matches_composition_on_samples(spec):
     assert_matches_reference(plant, parse_spec((SAMPLES / spec).read_text(), plant))
 
 
+def test_every_node_lists_its_labels_in_label_order(instances):
+    """The builder emits every node's labels strictly increasing, result-wait
+    nodes with both results included, so the witness search, synthesis and
+    validation read them as stored."""
+    plant = parse_model((SAMPLES / "model.json").read_text())
+    samples = [(plant, parse_spec((SAMPLES / spec).read_text(), plant))
+               for spec in ("attack-narrow.json", "attack-wide.json", "attack-opacity.json")]
+    expobs = (exponential_observer_plant(8), AttackSpec(frozenset({"6"}), 2))
+    for g, attack in [*instances, *samples, expobs]:
+        aobs = build_attack_observer(g, attack)
+        out_of_order = [i for i in aobs.ids if list(aobs.labels[i]) != sorted(set(aobs.labels[i]))]
+        assert not out_of_order, [aobs.labels[i] for i in out_of_order[:3]]
+
+
 def await_ids(aobs):
     return [i for i in aobs.ids if aobs.phase[i] == PHASE_AWAIT]
 

@@ -306,6 +306,15 @@ def test_export_dot_stages(capsys, tmp_path, model_path, spec_path):
         "--attacked", "2,4,8,9", "--budget", "1", "--stage", "strategy",
     )
     assert code == 0 and "b/Y0" in out
+    # The attack-free stages need no attack flags, and check those given.
+    for stage in ("model", "observer"):
+        code, out = run(capsys, "export-dot", "--model", model_path, "--stage", stage)
+        assert code == 0
+        assert run(capsys, "export-dot", "--model", model_path, "--stage", stage,
+                   "--attacked", "", "--budget", "0") == (0, out)
+        assert run(capsys, "export-dot", "--model", model_path, "--stage", stage,
+                   "--attacked", "99", "--budget", "0")[0] == 2
+    assert run(capsys, "export-dot", "--model", model_path, "--stage", "aobs")[0] == 2
 
 
 def test_input_errors_exit_2(capsys, tmp_path, model_path):

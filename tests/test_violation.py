@@ -1,6 +1,8 @@
 """Violation analysis: the violating predicate, the backward closure, the
 verifier restriction, and the end-to-end verdict."""
 
+import random
+
 from helpers import ATTACK_24, aob, chain_instance, corpus, est, sorted_pairs_witness
 
 from stateattack import (
@@ -12,9 +14,12 @@ from stateattack import (
     build_attack_observer,
     build_verifier,
     check_anonymity_classic,
+    check_enforced,
     check_opacity_classic,
     check_violation,
+    final_verifier,
     intermediate_violating_fixpoint,
+    rank_ids,
     violation_predicate,
     witness_labels,
 )
@@ -268,3 +273,26 @@ def test_witness_labels_none_for_empty():
     verdict, verifier = check_violation(g, attack)
     assert not verdict
     assert witness_labels(verifier, attack) is None
+
+
+def test_one_build_answers_several_secret_sets(instances):
+    """The game graph does not depend on the secret set: one build with the
+    anonymity attack gives, for anonymity and each secret set, the verifier,
+    witness, final verifier and ranks of a separate pipeline, and keeps one
+    violating list per rule."""
+    rng = random.Random(25)
+    for plant, attack in instances:
+        anonymity = AttackSpec(attack.attacked, attack.budget)
+        aobs = build_attack_observer(plant, anonymity)
+        states = sorted(plant.states)
+        secrets = [frozenset(rng.sample(states, rng.randint(1, len(states) - 1))) for _ in range(3)]
+        for rule in [anonymity, *(AttackSpec(attack.attacked, attack.budget, s) for s in secrets)]:
+            verifier = build_verifier(aobs, intermediate_violating_fixpoint(aobs, rule))
+            _, reference = check_violation(plant, rule)
+            assert verifier.ids == reference.ids
+            assert witness_labels(verifier, rule) == witness_labels(reference, rule)
+            fv = final_verifier(verifier, aobs)
+            _, reference_fv = check_enforced(plant, rule)
+            assert fv.names(fv.ids) == reference_fv.names(reference_fv.ids)
+            assert rank_ids(fv, rule) == rank_ids(reference_fv, rule)
+        assert len(aobs._violating) == 1 + len(set(secrets))
