@@ -27,8 +27,10 @@ from __future__ import annotations
 
 import copy
 import functools
+import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
+from operator import length_hint
 from typing import Iterable
 
 from .attackmodel import (
@@ -409,18 +411,65 @@ def attractor(graph: AttackObserver, targets: Iterable[int], rule: dict) -> dict
     brought it in: 1 when the forcing player moves (one transition inside),
     None when its opponent moves (every kept transition inside), and 0 when
     the node joins only as a target. The counters start from a copy of
-    ``degree``, and a node's phase is read only when a transition into the
-    set reaches it, so the work follows what the set reaches, not the size
-    of the graph.
+    ``degree``, one pass over the graph; after it, a node's phase is read
+    only when a transition into the set reaches it, so the work follows what
+    the set reaches, not the size of the graph.
+
+    This runs the worklist to the end, as the closure, the pruning and
+    ``rank_ids`` need: they read every rank. ``AttractorSearch`` runs the
+    same worklist only as far as the ranks asked for.
     """
+    # Written out here and in ``AttractorSearch``: on small graphs the whole
+    # run takes microseconds, and a shared set-up call cost 2-3% of it.
     ranks = dict.fromkeys(targets, 0)
     missing = graph.degree.copy()  # once reached: minus the transitions still needed inside
     for i in ranks:
         missing[i] = 0
-    phase = graph.phase
     pstart, psrc = graph.preds
     queue = list(ranks)
-    for j in queue:  # grows while it is walked: breadth first, so by rank
+    _expand(queue, ranks, queue, missing, graph.phase, pstart, psrc, rule)
+    return ranks
+
+
+class AttractorSearch(dict):
+    """The ranks of ``attractor``, searched on demand: a dict of the ranks
+    found so far, every target's from the start, whose lookup ``search[i]``
+    expands the worklist only until ``i`` is ranked, or to the end when it
+    never will be, and then gives ``math.inf``. The queue is breadth first,
+    so by rank, and lists the same ids in the same order however far it has
+    run: a rank is final once assigned, and each rank found here equals the
+    one ``attractor`` gives. ``get`` and ``in`` do not search. Before the
+    first lookup only the counter copy is paid, a pass over the graph."""
+
+    def __init__(self, graph: AttackObserver, targets: Iterable[int], rule: dict):
+        super().__init__(dict.fromkeys(targets, 0))
+        missing = graph.degree.copy()
+        for i in self:
+            missing[i] = 0
+        pstart, psrc = graph.preds
+        queue = list(self)
+        self._walk = iter(queue)  # the next entry to expand; reaches the ids appended later
+        self._work = queue, missing, graph.phase, pstart, psrc, rule
+        self._step = 1
+
+    def __missing__(self, i: int) -> float:
+        """Expand the queue in batches of 1, 2, 4, ... entries, counted over
+        all lookups, until ``i`` is ranked: the search expands fewer than
+        twice the entries its lookups need."""
+        walk = self._walk
+        while length_hint(walk):  # 0 once every entry is expanded
+            _expand(islice(walk, self._step), self, *self._work)
+            self._step *= 2
+            if i in self:
+                return self[i]
+        return math.inf
+
+
+def _expand(entries, ranks: dict, queue: list, missing: list, phase: list, pstart: list, psrc: list,
+            rule: dict) -> None:
+    """Expand the queue entries ``entries`` yields: rank each node whose
+    counter the entry's incoming transitions complete, and append it."""
+    for j in entries:  # the queue grows while it is walked: breadth first, so by rank
         rank = ranks[j] + 1
         for i in psrc[pstart[j]:pstart[j + 1]]:
             left = missing[i]
@@ -432,4 +481,3 @@ def attractor(graph: AttackObserver, targets: Iterable[int], rule: dict) -> dict
                 if left == -1:
                     ranks[i] = rank
                     queue.append(i)
-    return ranks

@@ -38,12 +38,11 @@ from .serialize import (
 from .strategy import (
     Adversarial,
     FIRST_VALID,
-    INFINITE_RANK,
     MealyStrategy,
     RANKED,
     RandomSeeded,
     StrategyError,
-    rank_ids,
+    rank_search,
     simulate_play,
     synthesize_strategy,
     validate_strategy,
@@ -297,7 +296,7 @@ def _report(command: str, model: Nfa, attack: AttackSpec, args):
         verdict = not fv.is_empty
         rank_initial = None
         if verdict:
-            rank_initial = rank_ids(fv, attack).get(fv.initial_id, INFINITE_RANK)
+            rank_initial = rank_search(fv, attack)[fv.initial_id]
         report = {
             "mode": attack.mode,
             "verdict": verdict,

@@ -10,7 +10,7 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .aobs import AObsState, AttackObserver, attractor
+from .aobs import AObsState, AttackObserver, AttractorSearch, attractor
 from .attackmodel import (
     ATTACK_NO, ATTACK_YES, EPSILON, PHASE_AWAIT, PHASE_DECIDE, PHASE_SYSTEM, RESULT_LABELS, AttackSpec,
 )
@@ -34,8 +34,19 @@ def rank_ids(fv: AttackObserver, attack: AttackSpec) -> dict:
     """Worst-case distance (in kept transitions) from each kept node to a
     violating estimate, as ``{id: rank}``: violating system-move nodes are at
     0, decision nodes take the best decision, everything else the worst
-    successor. Nodes from which a violation cannot be forced are left out."""
+    successor. Nodes from which a violation cannot be forced are left out.
+
+    Every rank is computed: ``compute_ranks`` reads them all. A reader of a
+    few ranks searches on demand with ``rank_search``, as synthesis and the
+    initial rank of ``check-enforced`` do."""
     return attractor(fv, violating_ids(fv, attack), _RANK_RULE)
+
+
+def rank_search(fv: AttackObserver, attack: AttackSpec) -> AttractorSearch:
+    """The ranks of ``rank_ids``, found on demand: ``search[i]`` runs the
+    worklist only until node ``i`` is ranked, and gives the rank ``rank_ids``
+    gives, or an infinite rank."""
+    return AttractorSearch(fv, violating_ids(fv, attack), _RANK_RULE)
 
 
 def compute_ranks(fv: AttackObserver, attack: AttackSpec) -> Mapping:
@@ -118,7 +129,7 @@ def _follow(outputs: tuple, wanted: str):
 
 
 def _choose_decision(
-    fv: AttackObserver, ranks: dict, policy: str, reference: int, turn: int | None
+    fv: AttackObserver, ranks: AttractorSearch, policy: str, reference: int, turn: int | None
 ) -> tuple:
     """Pick the attack decision at the decision node ``turn`` reached from
     ``reference``, as (decision, the id it leads to). Ranked policy declines
@@ -135,13 +146,10 @@ def _choose_decision(
     if policy == FIRST_VALID:
         return candidates[0]
 
-    def rank(i: int) -> float:
-        return ranks.get(i, INFINITE_RANK)
-
     decision, j = candidates[0]
-    if decision == ATTACK_NO and rank(j) < rank(reference):
+    if decision == ATTACK_NO and ranks[j] < ranks[reference]:
         return candidates[0]
-    return min(candidates, key=lambda cand: (rank(cand[1]), cand[0] != ATTACK_NO))
+    return min(candidates, key=lambda cand: (ranks[cand[1]], cand[0] != ATTACK_NO))
 
 
 def synthesize_strategy(
@@ -155,13 +163,15 @@ def synthesize_strategy(
     The walk runs on node ids and makes no ``AObsState`` objects. ``aobs`` is
     the attack observer ``fv`` restricts, or another build of it (builds
     number their nodes alike); it gives the events the system can play. The
-    ranks cover only the strategy states."""
+    ranks cover only the strategy states, and the walk searches for them on
+    demand (``rank_search``): it expands the ranks' worklist only as far as
+    the ranks it reads, those of the decisions it weighs and of its states."""
     if fv.is_empty:
         raise ValueError("cannot synthesize a strategy from an empty final verifier")
     if policy not in (RANKED, FIRST_VALID):
         raise ValueError(f"unknown policy {policy!r}")
     attack = aobs.attack
-    ranks = rank_ids(fv, attack)
+    ranks = rank_search(fv, attack)
     initial = fv.initial_id
     states = {initial}
     queue: list = []  # the strategy states to expand: not violating
@@ -178,7 +188,7 @@ def synthesize_strategy(
         for _, k in outputs:
             if k not in states:
                 states.add(k)
-                if ranks.get(k) != 0:  # rank 0 only at violating nodes
+                if ranks.get(k) != 0:  # violating: ranked 0 before any search
                     queue.append(k)
 
     add_edges(initial, EPSILON, initial)
@@ -188,7 +198,7 @@ def synthesize_strategy(
 
     return MealyStrategy(
         fv, initial, frozenset(states), edges, attack,
-        {i: ranks.get(i, INFINITE_RANK) for i in states}, policy,
+        {i: ranks[i] for i in states}, policy,
     )
 
 

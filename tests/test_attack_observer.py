@@ -2,10 +2,12 @@
 composed construction and the builder with one index over whole node keys,
 on fixed and on drawn plants, the builder's memory at huge budgets, the
 objects a verdict leaves for the cyclic collector, the phases the ranks
-read, the violating ids a graph keeps per rule, fixture sizes,
-transition chains, phases, and the estimate-filtering semantics
-cross-checked against the direct trace evaluation."""
+read and the few that synthesis and the initial rank read, the violating
+ids a graph keeps per rule, fixture sizes, transition chains, phases, and
+the estimate-filtering semantics cross-checked against the direct trace
+evaluation."""
 
+import argparse
 import gc
 import random
 import tracemalloc
@@ -50,6 +52,7 @@ from stateattack import (
     synthesize_strategy,
     witness_labels,
 )
+from stateattack import cli
 from stateattack.oracle import AttackRound, AttackTrace
 from stateattack.violation import violating_ids, violation_predicate
 
@@ -266,6 +269,31 @@ def test_ranks_read_only_the_phases_they_reach():
     assert rank_ids(fv, attack) == expected
     assert enforced and nodes == 18_464 and len(expected) == 46
     assert phase.reads <= nodes // 4
+
+
+def test_synthesis_and_the_initial_rank_search_only_what_they_read(monkeypatch):
+    """The 2-state strategy and the initial rank of ``check-enforced`` read
+    the ranks of two nodes, and the on-demand search stops once they are
+    known: a few phases and predecessor entries of 18,464 nodes, where the
+    complete ranks read 2,081 phases and 2,126 entries."""
+    plant, attack = exponential_observer_plant(12), AttackSpec(frozenset({"6"}), 2)
+    enforced, fv = check_enforced(plant, attack)
+    assert enforced and fv is fv.parent and len(fv.ids) == 18_464
+    pstart, psrc = fv.preds
+    monkeypatch.setattr(cli, "check_enforced", lambda *args: (True, fv))
+    args = argparse.Namespace(strict_paper=False)
+    reads = {}
+    for reader in ("synthesize", "check-enforced"):
+        fv.phase = phase = CountingList(fv.phase)
+        fv._preds = pstart, (entries := CountingList(psrc))
+        if reader == "synthesize":
+            strategy = synthesize_strategy(fv, fv.parent)
+        else:
+            report = cli._report(reader, plant, attack, args)[0]
+        reads[reader] = phase.reads, entries.reads
+    assert len(strategy.ids) == 2 and strategy.id_ranks == {0: 1, 1: 0}
+    assert report["rank_initial"] == 1 and report["forceable"]
+    assert all(phases <= 10 and entries <= 10 for phases, entries in reads.values()), reads
 
 
 def test_violating_ids_are_scanned_once_per_rule():

@@ -2,6 +2,7 @@
 exhaustive play-tree validation, and play simulation."""
 
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from stateattack import (
     synthesize_strategy,
     validate_strategy,
 )
+from stateattack import strategy as strategy_module
 from stateattack.aobs import AObsState
 from stateattack.attackmodel import EPSILON, PHASE_DECIDE, PHASE_SYSTEM
 from stateattack.violation import violation_predicate
@@ -122,6 +124,27 @@ def test_ranks_view_equals_the_eager_dict(instances, strict_paper):
         ranks = compute_ranks(fv, attack)
         assert dict(ranks) == eager
         assert ranks == eager and len(ranks) == len(eager)
+
+
+@pytest.mark.parametrize("strict_paper", [False, True])
+def test_rank_search_answers_as_rank_ids(instances, strict_paper):
+    """Queried in a shuffled order for every id of the full graph, kept by
+    the final verifier or not, the on-demand search gives each id the rank
+    ``rank_ids`` gives, or infinity, and ends with ``rank_ids``' ranks in
+    the same order. Its first query often stops the search early."""
+    rng = random.Random(26)
+    stopped_early = 0
+    for plant, attack in instances:
+        fv = check_enforced(plant, attack, strict_paper)[1]
+        expected = rank_ids(fv, attack)
+        queries = list(fv.parent.ids)
+        rng.shuffle(queries)
+        search = strategy_module.rank_search(fv, attack)
+        for n, i in enumerate(queries):
+            assert search[i] == expected.get(i, math.inf)
+            stopped_early += n == 0 and len(search) < len(expected)
+        assert list(search.items()) == list(expected.items())
+    assert stopped_early > 20
 
 
 def test_ranks_view_holds_only_kept_states(fv_2489, attack_2489):
@@ -237,6 +260,36 @@ def test_synthesis_equals_the_full_walk_up_to_the_first_violation(instances):
                 assert plays(plant, strategy) == plays(plant, full)
                 compared += 1
     assert compared > 400
+
+
+def test_synthesis_does_not_depend_on_how_far_the_search_ran(instances, monkeypatch):
+    """Each strategy equals the one synthesized from a rank search that was
+    run to the end before synthesis started: no decision depends on how far
+    the search had run."""
+    cases = []
+    for plant, attack in instances:
+        for strict in (False, True):
+            enforced, fv = check_enforced(plant, attack, strict)
+            if enforced:
+                cases.extend((fv, attack, policy) for policy in ("ranked", "first-valid"))
+
+    def outcomes() -> list:
+        out = []
+        for fv, attack, policy in cases:
+            s = synthesize_strategy(fv, fv.parent, policy)
+            out.append((s.ids, s.id_edges, s.id_ranks, validate_strategy(s, fv.parent, attack)))
+        return out
+
+    on_demand = outcomes()
+
+    def run_to_the_end(fv, attack, _search=strategy_module.rank_search):
+        search = _search(fv, attack)
+        search[-1]  # no node has the id -1: the search expands every queue entry
+        return search
+
+    monkeypatch.setattr(strategy_module, "rank_search", run_to_the_end)
+    assert on_demand == outcomes()
+    assert len(cases) == 2 * (124 + 143)
 
 
 def test_synthesis_makes_objects_only_for_strategy_states(plant, attack_2489, monkeypatch):
