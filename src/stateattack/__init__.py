@@ -14,20 +14,8 @@ from .attackmodel import (
     PHASE_DECIDE,
     PHASE_SYSTEM,
     RESERVED_LABELS,
-    bounded_game_structure,
-    game_structure,
-    number_attack_model,
-    system_attack_model,
 )
-from .automata import (
-    Dfa,
-    Nfa,
-    StateEstimate,
-    check_anonymity_classic,
-    check_opacity_classic,
-    compose,
-    observer,
-)
+from .automata import Nfa, StateEstimate
 from .enforcement import check_enforced, final_verifier
 from .oracle import (
     AttackRound,
@@ -61,12 +49,21 @@ from .strategy import (
     synthesize_strategy,
     validate_strategy,
 )
-from .violation import (
-    build_verifier,
-    check_violation,
-    intermediate_violating_fixpoint,
-    violation_predicate,
-    witness_labels,
-)
+from .violation import build_verifier, check_violation, intermediate_violating_fixpoint, witness_labels
 
 __version__ = "0.1.0"
+
+# The paper's constructions, which the tests check the pipeline against, are
+# loaded from ``reference`` on first access, so no command imports them.
+_REFERENCE = frozenset({
+    "Dfa", "bounded_game_structure", "check_anonymity_classic", "check_opacity_classic", "compose",
+    "game_structure", "number_attack_model", "observer", "system_attack_model", "violation_predicate",
+})
+
+
+def __getattr__(name: str):
+    if name in _REFERENCE:
+        from . import reference
+
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,11 +6,11 @@ The graph is built in one worklist over (phase, counter, estimate), with
 estimates as bitmasks over the plant states. It equals the paper's
 construction, the turn and budget structure (``bounded_game_structure``)
 composed with the observer of the attacked plant (``system_attack_model``,
-``observer``), which stays in ``attackmodel`` and ``automata`` as the
-reference the tests check this builder against. The worklist finds the
-nodes it has met through one ``{mask: id}`` index per phase and counter
-value, made on demand, and only for decision and plain system nodes: the
-other nodes have a single parent, the decision node they follow.
+``observer``), which ``reference`` keeps for the tests to check this
+builder against. The worklist finds the nodes it has met through one
+``{mask: id}`` index per phase and counter value, made on demand, and only
+for decision and plain system nodes: the other nodes have a single parent,
+the decision node they follow.
 
 Nodes are integer ids in worklist order, which is breadth first. The graph
 is held in flat lists with no per-node container: four node columns (phase,

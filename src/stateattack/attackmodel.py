@@ -1,15 +1,14 @@
-"""Intruder capability description and the auxiliary game automata that
-wrap a plant for analysis: the attacked plant, the attack-budget counter,
-the turn structure, and their bounded composition. The automata are the
-paper's construction of the attack observer, kept as the reference that
-``aobs.build_attack_observer`` is tested against."""
+"""Intruder capability description: the labels and turn phases of the attack
+game, the attack counter, and the attack spec with the rules that check it
+against a plant. The paper's game automata built from them are in
+``reference``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
 
-from .automata import Dfa, Nfa, check_secret_set, check_states, compose
+from .automata import Nfa, check_secret_set, check_states
 
 ATTACK_YES = "Y"
 ATTACK_NO = "N"
@@ -89,88 +88,3 @@ class AttackSpec:
         check_states(self.attacked, plant.states, "attacked states")
         if self.secret is not None:
             check_secret_set(plant, self.secret)
-
-
-def system_attack_model(g: Nfa, attacked: Iterable) -> Nfa:
-    """The plant with one result self-loop per state: "1" at attacked states,
-    "0" everywhere else."""
-    check_plant_events(g.events)
-    attacked = frozenset(attacked)
-    check_states(attacked, g.states, "attacked states")
-    loops = {
-        (state, RESULT_IN if state in attacked else RESULT_OUT, state)
-        for state in g.states
-    }
-    return Nfa(
-        g.states,
-        g.events | {RESULT_IN, RESULT_OUT},
-        g.transitions | loops,
-        g.initial,
-    )
-
-
-def number_attack_model(events: Iterable[str], budget: int) -> Dfa:
-    """Counter automaton for at most ``budget`` attacks.
-
-    Plain counts 0..D, waiting counts 0N..DN, and pending counts
-    0Y..(D-1)Y; a result consumes the pending attack and increments the
-    completed count.
-    """
-    events = frozenset(events)
-    check_plant_events(events)
-    _check_budget(budget)
-    plain = [GameCounter(k, "") for k in range(budget + 1)]
-    waiting = [GameCounter(k, "N") for k in range(budget + 1)]
-    attacking = [GameCounter(k, "Y") for k in range(budget)]
-    transitions: dict = {}
-    for k in range(budget):
-        transitions[(plain[k], ATTACK_YES)] = attacking[k]
-    for k in range(budget + 1):
-        transitions[(plain[k], ATTACK_NO)] = waiting[k]
-    for k in range(1, budget + 1):
-        for event in events:
-            transitions[(plain[k], event)] = plain[k]
-    for k in range(budget + 1):
-        for event in events:
-            transitions[(waiting[k], event)] = plain[k]
-    for k in range(budget):
-        for result in RESULT_LABELS:
-            transitions[(attacking[k], result)] = plain[k + 1]
-    return Dfa(
-        plain + waiting + attacking,
-        events | {ATTACK_YES, ATTACK_NO, RESULT_IN, RESULT_OUT},
-        transitions,
-        plain[0],
-    )
-
-
-def game_structure(events: Iterable[str]) -> Dfa:
-    """Turn structure of one attack round: decide (A), await a result (AY),
-    then let the system move (S)."""
-    events = frozenset(events)
-    check_plant_events(events)
-    transitions: dict = {
-        (PHASE_DECIDE, ATTACK_NO): PHASE_SYSTEM,
-        (PHASE_DECIDE, ATTACK_YES): PHASE_AWAIT,
-        (PHASE_AWAIT, RESULT_OUT): PHASE_SYSTEM,
-        (PHASE_AWAIT, RESULT_IN): PHASE_SYSTEM,
-    }
-    for event in events:
-        transitions[(PHASE_SYSTEM, event)] = PHASE_DECIDE
-    return Dfa(
-        GAME_PHASES,
-        events | {ATTACK_YES, ATTACK_NO, RESULT_IN, RESULT_OUT},
-        transitions,
-        PHASE_DECIDE,
-    )
-
-
-def bounded_game_structure(events: Iterable[str], budget: int) -> Dfa:
-    """Turn structure refined with the attack counter; states are
-    (phase, counter) pairs and only 4*budget+2 of them are reachable.
-
-    Reference only: ``aobs.build_attack_observer`` writes these turn rules
-    out directly, and the tests compose this automaton with the observer of
-    the attacked plant to check it."""
-    events = frozenset(events)
-    return compose(game_structure(events), number_attack_model(events, budget))

@@ -8,8 +8,9 @@ flags it reads: ``--format`` where it has a DOT artifact to write,
 
 Exit codes: 0 when the analysis ran (whatever the verdict), 1 only when
 --fail-on-violation is set and the checked property is violated/enforced,
-2 on malformed input or a path that cannot be read or written, 3 when the
-synthesized strategy does not cover a reachable play, 4 on any other error.
+2 on malformed input, a path that cannot be read or written, or a closed
+standard output, 3 when the synthesized strategy does not cover a reachable
+play, 4 on any other error.
 Errors are reported as one ``error: ...`` line on stderr, never as a
 traceback.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -224,7 +226,13 @@ def _observer(model: Nfa) -> tuple:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()  # a reader that went away shows here, not at shutdown
+        return code
+    except BrokenPipeError as exc:  # an output that cannot be written, as for --out
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so shutdown flushes there
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:  # InputError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2

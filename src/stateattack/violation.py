@@ -1,33 +1,23 @@
 """Deciding whether the intruder can ever pin the system down: the violating
-predicate on estimates, the backward closure of the attack-observer nodes from
-which a violation stays reachable, and the verifier built from it. Both stages
-work on node ids and make no ``AObsState``."""
+nodes, the backward closure of the attack-observer nodes from which a
+violation stays reachable, and the verifier built from it. Both stages work
+on node ids and make no ``AObsState``."""
 
 from __future__ import annotations
 
 from .aobs import AttackObserver, attractor, build_attack_observer
 from .attackmodel import PHASE_AWAIT, PHASE_DECIDE, PHASE_SYSTEM, AttackSpec
-from .automata import Nfa, StateEstimate
-
-
-def violation_predicate(estimate: StateEstimate, attack: AttackSpec) -> bool:
-    """Does this estimate already give the intruder what it wants?
-
-    Anonymity mode: the estimate is a singleton. Opacity mode: every member
-    is secret.
-    """
-    if attack.secret is None:
-        return len(estimate) == 1
-    return estimate.issubset(attack.secret)
+from .automata import Nfa
 
 
 def violating_ids(graph: AttackObserver, attack: AttackSpec) -> list:
     """The kept system-move nodes whose estimate violates, in id order: the
-    one test of ``violation_predicate`` on masks. A mask ``m`` violates when
-    ``m & (m - 1 & single | outside) == 0``: single = -1, outside = 0 in
-    anonymity mode; single = 0, outside = the non-secret bits in opacity
-    mode. The full graph keeps the list per (single, outside) pair, scanned
-    once; a restriction takes the ids it keeps."""
+    one test on masks of the rule ``reference.violation_predicate`` states on
+    estimates. A mask ``m`` violates when ``m & (m - 1 & single | outside)
+    == 0``: single = -1, outside = 0 in anonymity mode; single = 0, outside =
+    the non-secret bits in opacity mode. The full graph keeps the list per
+    (single, outside) pair, scanned once; a restriction takes the ids it
+    keeps."""
     base = graph.parent
     key = single, outside = (-1, 0) if attack.secret is None else (0, ~graph.mask_of(attack.secret))
     found = base._violating.get(key)

@@ -9,8 +9,9 @@ simulation that test the violating predicate on estimates, the witness
 search over sorted transition pairs that the walk on the graph's lists
 replaced, the nested natural sort key that the flat one of ``automata``
 replaced, the DOT writer for a ``Dfa`` that ``export_dot`` dropped when the
-plant observer came to be read off the attack game, and a recursion that
-decides a bounded violation straight from its definition."""
+plant observer came to be read off the attack game, a recursion that
+decides a bounded violation straight from its definition, and the oracle's
+enforcement under the literal pruning rule of ``--strict-paper``."""
 
 import random
 import re
@@ -18,7 +19,7 @@ from collections import deque
 from functools import lru_cache
 from itertools import accumulate
 
-from stateattack import AttackSpec, Nfa
+from stateattack import AttackSpec, Nfa, oracle
 from stateattack.aobs import AObsState, AttackObserver, _bits
 from stateattack.attackmodel import (
     ATTACK_NO,
@@ -31,10 +32,16 @@ from stateattack.attackmodel import (
     RESULT_LABELS,
     RESULT_OUT,
     GameCounter,
-    bounded_game_structure,
-    system_attack_model,
 )
-from stateattack.automata import Dfa, StateEstimate, _natural_key, compose, observer
+from stateattack.automata import StateEstimate, _natural_key
+from stateattack.reference import (
+    Dfa,
+    bounded_game_structure,
+    compose,
+    observer,
+    system_attack_model,
+    violation_predicate,
+)
 from stateattack.serialize import _BOXES, _dot
 from stateattack.strategy import (
     FIRST_VALID,
@@ -48,7 +55,6 @@ from stateattack.strategy import (
     StrategyReport,
     rank_ids,
 )
-from stateattack.violation import violation_predicate
 
 TEN_STATE_TRANSITIONS = [
     ("1", "a", "2"), ("1", "a", "3"), ("1", "d", "6"), ("1", "d", "9"),
@@ -184,6 +190,27 @@ def forced_within(g: Nfa, attack: AttackSpec, horizon: int) -> bool:
         )
 
     return wins("A", frozenset(g.initial), 0, horizon)
+
+
+def literal_oracle_check_enforced(g: Nfa, attack: AttackSpec) -> bool:
+    """``oracle_check_enforced`` under the literal pruning rule that
+    ``--strict-paper`` decides: the greatest fixpoint inside the oracle's
+    least one on the same game, where an "A" node keeps one successor
+    inside, an "S" node keeps every successor inside, and an "AY" node is
+    never removed."""
+    attack.validate_for(g)
+    game = oracle._game(g, attack)
+    hold = oracle._won(game, attack, None)
+    shrank = True
+    while shrank:
+        shrank = False
+        for node, succs in game:
+            phase = node[0]
+            if node in hold and phase != "AY":
+                if hold.isdisjoint(succs) if phase == "A" else not hold.issuperset(succs):
+                    hold.discard(node)
+                    shrank = True
+    return ("A", frozenset(g.initial), 0) in hold
 
 
 def composed_attack_observer(g: Nfa, attack: AttackSpec) -> AttackObserver:

@@ -54,7 +54,8 @@ from stateattack import (
 )
 from stateattack import cli
 from stateattack.oracle import AttackRound, AttackTrace
-from stateattack.violation import violating_ids, violation_predicate
+from stateattack.reference import violation_predicate
+from stateattack.violation import violating_ids
 
 SAMPLES = Path(__file__).parent.parent / "samples"
 COLUMNS = ("phase", "count", "tag", "mask", "labels", "succ", "start", "degree")

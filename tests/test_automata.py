@@ -45,6 +45,30 @@ def small_nfas(draw, max_states=5, max_events=3, min_states=2):
     return Nfa(states, events, transitions, initial)
 
 
+@hs.composite
+def small_dfas(draw, max_states=4):
+    """A partial DFA over a random subset of the events a, b and c, whose
+    states need not all be reachable."""
+    states = [str(i) for i in range(1, draw(hs.integers(1, max_states)) + 1)]
+    events = sorted(draw(hs.sets(hs.sampled_from("abc"))))
+    targets = hs.one_of(hs.none(), hs.sampled_from(states))
+    transitions = {(s, e): t for s in states for e in events if (t := draw(targets)) is not None}
+    return Dfa(states, events, transitions, draw(hs.sampled_from(states)))
+
+
+def accessible(g) -> set:
+    """The states of the DFA ``g`` reachable from its initial state."""
+    seen, stack = {g.initial}, [g.initial]
+    while stack:
+        state = stack.pop()
+        for event in g.events:
+            target = g.step(state, event)
+            if target is not None and target not in seen:
+                seen.add(target)
+                stack.append(target)
+    return seen
+
+
 def reach_by_word(g, word):
     """Brute-force image of a word, straight off the raw transition relation."""
     current = set(g.initial)
@@ -282,43 +306,40 @@ def test_compose_game_and_counter_budget_one_fragment():
     }
 
 
-def test_compose_neutral_single_state():
-    g = ten_state_plant()
-    unit = Nfa(["u"], [], [], ["u"])
+@settings(max_examples=30, deadline=None)
+@given(small_dfas())
+def test_compose_neutral_single_state(g):
+    unit = Dfa(["u"], [], {}, "u")
     product = compose(g, unit)
-    assert product.states == frozenset((s, "u") for s in g.states)
-    assert product.initial == frozenset((s, "u") for s in g.initial)
-    assert {(s, e, t) for ((s, _), e, (t, _)) in product.transitions} == g.transitions
-
-
-def raw_successors(g, state, event):
-    return frozenset(t for (s, ev, t) in g.transitions if s == state and ev == event)
+    reachable = accessible(g)
+    assert product.states == frozenset((s, "u") for s in reachable)
+    assert product.initial == (g.initial, "u")
+    edges = {(s, e, t) for ((s, _), e), (t, _) in product.transitions.items()}
+    assert edges == {(s, e, t) for (s, e), t in g.transitions.items() if s in reachable}
 
 
 @settings(max_examples=30, deadline=None)
-@given(small_nfas(max_states=4), small_nfas(max_states=4))
+@given(small_dfas(), small_dfas())
 def test_compose_agrees_with_pairwise_walk(g1, g2):
     product = compose(g1, g2)
+    assert product.initial == (g1.initial, g2.initial)
+    assert accessible(product) == product.states
     for x1, x2 in product.states:
         for event in product.events:
-            if event in g1.events and event in g2.events:
-                t1, t2 = raw_successors(g1, x1, event), raw_successors(g2, x2, event)
-                expected = {(a, b) for a in t1 for b in t2} if t1 and t2 else set()
-            elif event in g1.events:
-                expected = {(a, x2) for a in raw_successors(g1, x1, event)}
-            else:
-                expected = {(x1, b) for b in raw_successors(g2, x2, event)}
-            assert product.successors((x1, x2), event) == frozenset(expected)
+            y1 = g1.step(x1, event) if event in g1.events else x1
+            y2 = g2.step(x2, event) if event in g2.events else x2
+            expected = None if y1 is None or y2 is None else (y1, y2)
+            assert product.step((x1, x2), event) == expected
 
 
 @settings(max_examples=25, deadline=None)
-@given(small_nfas(max_states=4), small_nfas(max_states=4))
+@given(small_dfas(), small_dfas())
 def test_compose_symmetric_up_to_swap(g1, g2):
     left = compose(g1, g2)
     right = compose(g2, g1)
     swap = lambda pair: (pair[1], pair[0])
     assert {swap(s) for s in left.states} == right.states
-    assert {(swap(s), e, swap(t)) for (s, e, t) in left.transitions} == right.transitions
+    assert {(swap(s), e): swap(t) for (s, e), t in left.transitions.items()} == right.transitions
 
 
 # --- attack-free checks ------------------------------------------------------

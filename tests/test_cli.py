@@ -18,8 +18,8 @@ from hypothesis import strategies as hs
 from helpers import MASTER_SEED, TEN_STATE_TRANSITIONS, corpus, dfa_dot
 
 import stateattack
-from stateattack.automata import check_anonymity_classic, check_opacity_classic, observer
 from stateattack.cli import STAGES, _dispatch, build_parser, main
+from stateattack.reference import check_anonymity_classic, check_opacity_classic, observer
 from stateattack.serialize import parse_model, serialize_model
 
 
@@ -568,19 +568,65 @@ def test_unexpected_error_is_one_line_exit_4(capsys, monkeypatch, model_path, sp
     assert captured.err == "error: RuntimeError: internal breach\n"
 
 
-def test_importing_the_package_leaves_the_cli_out():
-    """The command line and argparse load only when a command runs."""
+def run_fresh(*argv, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """``python *argv`` in a fresh interpreter that imports the package tested here."""
     src = str(Path(stateattack.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *argv], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+def test_importing_the_package_leaves_the_cli_out():
+    """The command line and argparse load only when a command runs."""
     probe = "import sys, stateattack; print({'stateattack.cli', 'argparse'} & sys.modules.keys())"
-    result = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert result.stdout == "set()\n"
+    result = run_fresh("-c", probe)
+    assert (result.returncode, result.stdout) == (0, "set()\n"), result.stderr
+
+
+def test_no_subcommand_imports_the_reference_module():
+    """Every subcommand, with every stage, format, policy and pruning rule,
+    runs in one interpreter that never loads ``stateattack.reference``."""
+    result = run_fresh(str(Path(__file__).parent / "reference_boundary.py"))
+    assert result.returncode == 0, result.stdout + result.stderr
+    report = json.loads(result.stdout)
+    assert report["reference_loaded"] is False and report["runs"] > 100
+
+
+REFERENCE_NAMES = (
+    "Dfa", "bounded_game_structure", "check_anonymity_classic", "check_opacity_classic", "compose",
+    "game_structure", "number_attack_model", "observer", "system_attack_model", "violation_predicate",
+)
+
+
+def test_reference_names_load_on_first_access():
+    """``import stateattack`` leaves ``reference`` out; each of its names then
+    resolves from the package to the object in ``reference``, and an unknown
+    name still raises ``AttributeError``."""
+    probe = "\n".join([
+        "import sys, stateattack",
+        "print('stateattack.reference' in sys.modules)",
+        f"names = {REFERENCE_NAMES!r}",
+        "print(all(getattr(stateattack, n) is getattr(stateattack.reference, n) for n in names))",
+        "try:\n    stateattack.no_such_name\nexcept AttributeError as exc:\n    print(exc)",
+    ])
+    result = run_fresh("-c", probe)
+    assert result.stdout.splitlines() == [
+        "False", "True", "module 'stateattack' has no attribute 'no_such_name'"
+    ], result.stderr
+
+
+def test_closed_standard_output_exits_2(model_path, spec_path):
+    """A reader that went away before the report is written: one ``error:``
+    line and exit 2, with nothing more at shutdown."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        argv = ["-m", "stateattack.cli", "check-enforced", "--model", model_path, "--spec", spec_path]
+        result = run_fresh(*argv, stdout=write)
+    finally:
+        os.close(write)
+    assert result.returncode == 2
+    assert result.stderr == "error: cannot write standard output: [Errno 32] Broken pipe\n"
 
 
 # --- the command-line contract ------------------------------------------------
@@ -718,3 +764,26 @@ def test_mutated_samples_exit_cleanly(command, attack_name, data):
     assert "Traceback" not in err.getvalue()
     lines = err.getvalue().splitlines()
     assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: "))
+
+
+def test_every_command_takes_a_state_name_with_a_long_digit_run(capsys, tmp_path):
+    """A digit run longer than ``int`` reads (4,300 digits) sorts by its
+    length and digits: every subcommand and every ``export-dot`` stage
+    reports, and the model writes back."""
+    long_name = "7" * 5000
+    plant = {
+        "states": [long_name, "1", "2"],
+        "events": ["a"],
+        "initial": [long_name, "1"],
+        "transitions": [[long_name, "a", "2"], ["1", "a", "1"], ["2", "a", "2"]],
+    }
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(plant))
+    assert serialize_model(parse_model(model.read_text())).count(long_name) == 3
+    inputs = ["--model", str(model), "--attacked", "1", "--budget", "1"]
+    argvs = [[command, *inputs] for command in COMMANDS if command not in ("observer", "check-classic")]
+    argvs += [["observer", "--model", str(model)], ["check-classic", "--model", str(model)]]
+    argvs += [["export-dot", *inputs, "--stage", stage] for stage in STAGES]
+    for argv in argvs:
+        code = main(argv)
+        assert (code, capsys.readouterr().err) == (0, ""), argv

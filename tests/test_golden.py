@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from stateattack import automata, cli
+from stateattack import cli, reference
 from stateattack.aobs import AObsState
 from stateattack.automata import StateEstimate
 from stateattack.cli import STAGES, main
@@ -113,10 +113,10 @@ def test_attack_free_checks_build_one_game(monkeypatch):
         return _build(*args)
 
     def forbidden(*args):
-        raise AssertionError("automata.observer called")
+        raise AssertionError("reference.observer called")
 
     monkeypatch.setattr(cli, "build_attack_observer", counting)
-    monkeypatch.setattr(automata, "observer", forbidden)
+    monkeypatch.setattr(reference, "observer", forbidden)
     model = str(ROOT / "samples" / "model.json")
     argv = ["check-classic", "--model", model, "--mode", "opacity", "--secret", "7,8"]
     assert produce(argv, "json") == ("json", (GOLDEN / "check-classic-opacity.json").read_text())

@@ -6,13 +6,21 @@ import random
 
 import pytest
 
-from helpers import est, forced_within, random_instance, ten_state_plant
+from helpers import (
+    corpus,
+    est,
+    forced_within,
+    literal_oracle_check_enforced,
+    random_instance,
+    ten_state_plant,
+)
 
 from stateattack import (
     AttackSpec,
     EPSILON,
     Nfa,
     build_attack_observer,
+    check_enforced,
     check_violation,
     filtered_estimate,
     is_violating_attack_sequence,
@@ -247,3 +255,20 @@ def test_oracle_violation_at_short_horizons_matches_its_definition(instances, bu
         verdicts.append(oracle_check_violation(g, attack, nodes))
         assert verdicts == sorted(verdicts)  # never falls as the horizon grows
         assert verdicts[-1] == oracle_check_violation(g, attack)
+
+
+def test_strict_paper_decides_the_literal_rule():
+    """``check_enforced(..., strict_paper=True)`` against the oracle's own
+    greatest fixpoint under the literal rule, over the corpus and 700 more
+    random plants at budgets b to b + 2."""
+    rng = random.Random(3)
+    plants = corpus() + [random_instance(rng) for _ in range(700)]
+    checks = enforced = 0
+    for g, attack in plants:
+        for budget in range(attack.budget, attack.budget + 3):
+            attack_b = AttackSpec(attack.attacked, budget, attack.secret)
+            verdict = check_enforced(g, attack_b, strict_paper=True)[0]
+            assert verdict == literal_oracle_check_enforced(g, attack_b), (g, attack_b)
+            checks += 1
+            enforced += verdict
+    assert checks == 2760 and 0 < enforced < checks

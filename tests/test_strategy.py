@@ -31,7 +31,7 @@ from stateattack import (
 from stateattack import strategy as strategy_module
 from stateattack.aobs import AObsState
 from stateattack.attackmodel import EPSILON, PHASE_DECIDE, PHASE_SYSTEM
-from stateattack.violation import violation_predicate
+from stateattack.reference import violation_predicate
 
 
 @pytest.fixture(scope="module")
