@@ -18,8 +18,6 @@ from .attackmodel import (
 from .automata import Nfa, StateEstimate
 from .enforcement import check_enforced, final_verifier
 from .oracle import (
-    AttackRound,
-    AttackTrace,
     filtered_estimate,
     is_violating_attack_sequence,
     oracle_check_enforced,

@@ -1,83 +1,16 @@
 """Ground-truth brute force operating directly on the plant: estimate
-filtering along attack traces, the trace-level violating-sequence predicate,
+filtering along a label sequence, the trace-level violating-sequence predicate,
 and the two top-level verdicts as a least and a greatest fixpoint on one
 explicit attack game. Built to be obviously correct rather than fast; every
 pipeline stage is cross-checked against it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from typing import Iterable, Sequence
 
-from .attackmodel import ATTACK_NO, ATTACK_YES, EPSILON, AttackSpec
+from .attackmodel import ATTACK_NO, ATTACK_YES, RESULT_IN, RESULT_LABELS, AttackSpec
 from .automata import Nfa, StateEstimate
-
-
-@dataclass(frozen=True)
-class AttackRound:
-    """One round of the game: the observed event (the first round observes
-    nothing), the intruder's decision, and the attack result (absent exactly
-    when the intruder declined)."""
-
-    event: str
-    decision: str
-    result: str
-
-    def __post_init__(self):
-        if self.decision not in (ATTACK_YES, ATTACK_NO):
-            raise ValueError(f"decision must be Y or N, got {self.decision!r}")
-        if self.decision == ATTACK_NO and self.result != EPSILON:
-            raise ValueError("a declined attack has no result")
-        if self.decision == ATTACK_YES and self.result not in ("0", "1"):
-            raise ValueError("a launched attack must have result 0 or 1")
-
-
-@dataclass(frozen=True)
-class AttackTrace:
-    rounds: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "rounds", tuple(self.rounds))
-        for i, rnd in enumerate(self.rounds):
-            if i == 0 and rnd.event != EPSILON:
-                raise ValueError("the first round observes no event")
-            if i > 0 and rnd.event == EPSILON:
-                raise ValueError("only the first round may observe no event")
-
-    @classmethod
-    def from_labels(cls, labels: Iterable[str], events: Iterable[str]) -> "AttackTrace":
-        """Parse a flat label sequence (as walked on the attack observer)
-        into rounds."""
-        events = frozenset(events)
-        rounds = []
-        pending_event = EPSILON
-        labels = list(labels)
-        i = 0
-        while i < len(labels):
-            label = labels[i]
-            if label in events:
-                pending_event = label
-                i += 1
-                label = labels[i] if i < len(labels) else None
-            if pending_event is None:
-                raise ValueError("two decisions without an intervening event")
-            if label == ATTACK_NO:
-                rounds.append(AttackRound(pending_event, ATTACK_NO, EPSILON))
-                i += 1
-            elif label == ATTACK_YES:
-                if i + 1 >= len(labels) or labels[i + 1] not in ("0", "1"):
-                    raise ValueError("a Y decision must be followed by its result")
-                rounds.append(AttackRound(pending_event, ATTACK_YES, labels[i + 1]))
-                i += 2
-            else:
-                raise ValueError(f"unexpected label {label!r}")
-            pending_event = None
-        return cls(tuple(rounds))
-
-    @property
-    def attacks(self) -> int:
-        return sum(1 for rnd in self.rounds if rnd.decision == ATTACK_YES)
 
 
 def _violating(attack: AttackSpec, members: frozenset) -> bool:
@@ -86,24 +19,37 @@ def _violating(attack: AttackSpec, members: frozenset) -> bool:
     return members <= attack.secret
 
 
-def filtered_estimate(g: Nfa, attack: AttackSpec, trace: AttackTrace) -> StateEstimate | None:
-    """Run the trace directly on the plant: image through each event, then
-    intersect with the attacked set (result 1) or its complement (result 0).
-    None once any step empties the estimate."""
-    if trace.attacks > attack.budget:
-        raise ValueError("trace uses more attacks than the budget allows")
+def filtered_estimate(g: Nfa, attack: AttackSpec, labels: Iterable[str]) -> StateEstimate | None:
+    """Run a label sequence directly on the plant, in the form
+    ``witness_labels`` returns and ``AttackObserver.run`` walks: a decision
+    opens each round, an observed event precedes every round but the first,
+    and a Y is followed by its result. An event takes the image, result 1
+    keeps the attacked set and result 0 its complement. None when the
+    estimate ends empty; a sequence of another shape, or with more Y labels
+    than the budget allows, raises ``ValueError``."""
+    attack.validate_for(g)
+    labels = list(labels)
+    if labels.count(ATTACK_YES) > attack.budget:
+        raise ValueError("the sequence uses more attacks than the budget allows")
     members = frozenset(g.initial)
-    for rnd in trace.rounds:
-        if rnd.event != EPSILON:
-            members = g.image(members, rnd.event)
-            if not members:
-                return None
-        if rnd.decision == ATTACK_YES:
-            side = attack.attacked if rnd.result == "1" else g.states - attack.attacked
-            members = members & side
-            if not members:
-                return None
-    return StateEstimate(members)
+    prev = None  # the label before this one; the whole sequence is read, even once empty
+    for position, label in enumerate(labels):
+        if label in (ATTACK_YES, ATTACK_NO):
+            fits = prev is None or prev in g.events
+        elif label in RESULT_LABELS:
+            fits = prev == ATTACK_YES
+            members &= attack.attacked if label == RESULT_IN else g.states - attack.attacked
+        elif label in g.events:
+            fits = prev == ATTACK_NO or prev in RESULT_LABELS
+            members = g.image(members, label)
+        else:
+            fits = False
+        if not fits:
+            raise ValueError(f"unexpected label {label!r} at position {position}")
+        prev = label
+    if prev == ATTACK_YES or prev in g.events:
+        raise ValueError(f"the sequence ends inside a round, after {prev!r}")
+    return StateEstimate(members) if members else None
 
 
 def is_violating_attack_sequence(

@@ -162,7 +162,11 @@ def synthesize_strategy(
 
     The walk runs on node ids and makes no ``AObsState`` objects. ``aobs`` is
     the attack observer ``fv`` restricts, or another build of it (builds
-    number their nodes alike); it gives the events the system can play. The
+    number their nodes alike); it gives the events the system can play, and
+    its ``attack`` gives the violation rule the ranks read, not the attack
+    ``fv`` was closed and pruned under. So a build reused for another secret
+    set gives that set's verdict, witness, pruning and ranks, but not its
+    strategy: build once per secret set before synthesizing. The
     ranks cover only the strategy states, and the walk searches for them on
     demand (``rank_search``): it expands the ranks' worklist only as far as
     the ranks it reads, those of the decisions it weighs and of its states."""

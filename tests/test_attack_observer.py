@@ -53,7 +53,6 @@ from stateattack import (
     witness_labels,
 )
 from stateattack import cli
-from stateattack.oracle import AttackRound, AttackTrace
 from stateattack.reference import violation_predicate
 from stateattack.violation import violating_ids
 
@@ -556,8 +555,7 @@ def test_estimates_match_direct_trace_evaluation(index, instances):
     for state, path in witness_paths(aobs).items():
         if state.phase != PHASE_SYSTEM:
             continue
-        trace = AttackTrace.from_labels(path, plant.events)
-        assert filtered_estimate(plant, attack, trace) == state.estimate
+        assert filtered_estimate(plant, attack, path) == state.estimate
 
 
 def test_random_traces_agree_with_observer_walk():
@@ -565,24 +563,17 @@ def test_random_traces_agree_with_observer_walk():
     for _ in range(120):
         plant, attack = random_instance(rng)
         aobs = build_attack_observer(plant, attack)
-        rounds = []
         labels = []
         used = 0
         for i in range(rng.randint(1, 4)):
-            event = "ε" if i == 0 else rng.choice(sorted(plant.events))
+            if i > 0:
+                labels.append(rng.choice(sorted(plant.events)))
             if used < attack.budget and rng.random() < 0.5:
-                decision, result = "Y", rng.choice(["0", "1"])
+                labels += ["Y", rng.choice(["0", "1"])]
                 used += 1
             else:
-                decision, result = "N", "ε"
-            rounds.append(AttackRound(event, decision, result))
-            if i > 0:
-                labels.append(event)
-            labels.append(decision)
-            if decision == "Y":
-                labels.append(result)
-        trace = AttackTrace(tuple(rounds))
-        direct = filtered_estimate(plant, attack, trace)
+                labels.append("N")
+        direct = filtered_estimate(plant, attack, labels)
         walked = aobs.run(labels)
         if direct is None:
             assert walked is None

@@ -1,8 +1,11 @@
-"""Direct-on-the-plant brute force: trace filtering, the trace-level
-violating-sequence predicate, and the two verdicts on the attack game,
-cross-checked against the observer pipeline and a bounded recursion."""
+"""Direct-on-the-plant brute force: estimate filtering along label
+sequences, the trace-level violating-sequence predicate, and the two verdicts
+on the attack game, cross-checked against the observer pipeline and a
+bounded recursion."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +20,6 @@ from helpers import (
 
 from stateattack import (
     AttackSpec,
-    EPSILON,
     Nfa,
     build_attack_observer,
     check_enforced,
@@ -26,79 +28,116 @@ from stateattack import (
     is_violating_attack_sequence,
     oracle_check_enforced,
     oracle_check_violation,
+    violation_predicate,
+    witness_labels,
 )
-from stateattack.oracle import AttackRound, AttackTrace, _game
+import stateattack.oracle
+from stateattack.oracle import _game
 
 
-def trace_of(*rounds) -> AttackTrace:
-    return AttackTrace(tuple(AttackRound(*r) for r in rounds))
+def test_oracle_imports_only_the_plant_and_attack_model():
+    """The oracle checks the pipeline, so it reads none of it: its package
+    imports are the plant and the attack spec alone."""
+    tree = ast.parse(Path(stateattack.oracle.__file__).read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.add("stateattack." * bool(node.level) + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+    package = {m for m in modules if m.startswith("stateattack")}
+    assert package == {"stateattack.attackmodel", "stateattack.automata"}
 
 
-# --- traces ------------------------------------------------------------------
+# --- label sequences ---------------------------------------------------------
 
 
 def test_round_validation():
-    with pytest.raises(ValueError):
-        AttackRound("a", "N", "0")  # a declined attack has no result
-    with pytest.raises(ValueError):
-        AttackRound("a", "Y", EPSILON)
-    with pytest.raises(ValueError):
-        AttackRound("a", "X", EPSILON)
+    g = ten_state_plant()
+    attack = AttackSpec(frozenset({"2", "4"}), 1)
+    with pytest.raises(ValueError, match="ends inside a round"):
+        filtered_estimate(g, attack, ["N", "a", "Y"])  # a Y without its result
+    with pytest.raises(ValueError, match="unexpected label"):
+        filtered_estimate(g, attack, ["Y", "a"])  # an event where the result belongs
+    with pytest.raises(ValueError, match="unexpected label"):
+        filtered_estimate(g, attack, ["N", "0"])  # a result after N
 
 
 def test_trace_validation():
-    with pytest.raises(ValueError):
-        trace_of(("a", "N", EPSILON))  # first round observes nothing
-    with pytest.raises(ValueError):
-        trace_of((EPSILON, "N", EPSILON), (EPSILON, "N", EPSILON))
-
-
-def test_trace_from_labels():
-    trace = AttackTrace.from_labels(["N", "a", "Y", "1", "b", "N"], {"a", "b"})
-    assert trace.rounds == trace_of(
-        (EPSILON, "N", EPSILON), ("a", "Y", "1"), ("b", "N", EPSILON)
-    ).rounds
-    assert trace.attacks == 1
-    with pytest.raises(ValueError):
-        AttackTrace.from_labels(["N", "Y", "0"], {"a"})  # two decisions in a row
-    with pytest.raises(ValueError):
-        AttackTrace.from_labels(["N", "a", "Y"], {"a"})  # dangling attack
+    g = ten_state_plant()
+    attack = AttackSpec(frozenset({"2", "4"}), 1)
+    with pytest.raises(ValueError, match="unexpected label"):
+        filtered_estimate(g, attack, ["a", "N"])  # the first round observes nothing
+    with pytest.raises(ValueError, match="unexpected label"):
+        filtered_estimate(g, attack, ["N", "Y", "0"])  # two decisions without an event
+    with pytest.raises(ValueError, match="ends inside a round"):
+        filtered_estimate(g, attack, ["N", "a"])  # an event opens a round with no decision
 
 
 @pytest.mark.parametrize("labels", [["x"], ["N", "a", "x"], ["N", "a", "1"]])
-def test_trace_from_labels_rejects_unexpected_labels(labels):
+def test_filtered_estimate_rejects_unexpected_labels(labels):
+    g = Nfa(["1", "2"], ["a"], [("1", "a", "2"), ("2", "a", "1")], ["1"])
     with pytest.raises(ValueError, match="unexpected label"):
-        AttackTrace.from_labels(labels, {"a"})
+        filtered_estimate(g, AttackSpec(frozenset({"1"}), 1), labels)
 
 
 # --- estimate filtering ------------------------------------------------------
 
 
+def test_filtered_estimate_walks_each_round():
+    g = ten_state_plant()
+    attack = AttackSpec(frozenset({"2", "4"}), 1)
+    assert filtered_estimate(g, attack, []) == est("1,10")
+    assert filtered_estimate(g, attack, ["N", "a", "N"]) == est("2,3")
+    assert filtered_estimate(g, attack, ["N", "a", "Y", "0"]) == est("3")
+
+
 def test_filtered_estimate_fixture_trace():
     g = ten_state_plant()
     attack = AttackSpec(frozenset({"2", "4"}), 1)
-    trace = trace_of((EPSILON, "N", EPSILON), ("a", "Y", "1"))
-    assert filtered_estimate(g, attack, trace) == est("2")
+    assert filtered_estimate(g, attack, ["N", "a", "Y", "1"]) == est("2")
 
 
 def test_filtered_estimate_uninformative_round():
     g = ten_state_plant()
     attack = AttackSpec(frozenset({"2", "4"}), 1)
-    assert filtered_estimate(g, attack, trace_of((EPSILON, "N", EPSILON))) == est("1,10")
+    assert filtered_estimate(g, attack, ["N"]) == est("1,10")
 
 
 def test_filtered_estimate_undefined_when_emptied():
     g = ten_state_plant()
     attack = AttackSpec(frozenset({"2", "4"}), 1)
     # result 1 is impossible at {1,10}
-    assert filtered_estimate(g, attack, trace_of((EPSILON, "Y", "1"))) is None
+    assert filtered_estimate(g, attack, ["Y", "1"]) is None
+    assert filtered_estimate(g, attack, ["Y", "1", "a", "N"]) is None
 
 
 def test_filtered_estimate_enforces_budget():
     g = ten_state_plant()
     attack = AttackSpec(frozenset({"2", "4"}), 0)
-    with pytest.raises(ValueError):
-        filtered_estimate(g, attack, trace_of((EPSILON, "Y", "0")))
+    with pytest.raises(ValueError, match="budget"):
+        filtered_estimate(g, attack, ["Y", "0"])
+    # the budget is read before the walk, which would end empty at the first result
+    with pytest.raises(ValueError, match="budget"):
+        filtered_estimate(g, AttackSpec(frozenset({"2", "4"}), 1), ["Y", "1", "a", "Y", "0"])
+
+
+def test_every_witness_replays_on_the_plant_alone():
+    """The witness of ``check_violation`` is a certificate: read on the plant
+    alone, without the attack observer, it ends in a violating estimate.
+    Over the corpus and 700 more random plants."""
+    rng = random.Random(3)
+    plants = corpus() + [random_instance(rng) for _ in range(700)]
+    replayed = {"anonymity": 0, "opacity": 0}
+    for g, attack in plants:
+        _, verifier = check_violation(g, attack)
+        labels = witness_labels(verifier, attack)
+        if labels is None:
+            continue
+        estimate = filtered_estimate(g, attack, labels)
+        assert estimate is not None and violation_predicate(estimate, attack), (g, attack, labels)
+        replayed["anonymity" if attack.secret is None else "opacity"] += 1
+    assert replayed == {"anonymity": 488, "opacity": 141}
 
 
 # --- the trace-level predicate -----------------------------------------------
